@@ -75,19 +75,22 @@ def rse(exact, approx) -> float:
 
 def _truncation_grid(M: int, theta: float) -> list:
     """T(m, k) for k = 1..m, for each m = 1..M."""
+    if not isinstance(M, int) or M < 1:
+        raise DomainError("M must be a positive integer")
     return [
         [truncation_point(OccupancyParams(m, k, theta)) for k in range(1, m + 1)]
         for m in range(1, M + 1)
     ]
 
 
+def _block_work(grid: list) -> float:
+    """Work units of a truncation grid: the sum of T(m, k)^2."""
+    return float(sum(sum(t * t for t in row) for row in grid))
+
+
 def estimate_block_work(M: int, theta: float) -> float:
     """Work units for rse_block(M, theta): sum over m, k of T(m, k)^2."""
-    if not isinstance(M, int) or M < 1:
-        raise DomainError("M must be a positive integer")
-    if not (0.0 < theta <= 1.0):
-        raise DomainError("theta must satisfy 0 < theta <= 1")
-    return float(sum(sum(t * t for t in row) for row in _truncation_grid(M, theta)))
+    return _block_work(_truncation_grid(M, theta))
 
 
 def rse_block(
@@ -100,17 +103,16 @@ def rse_block(
 
     Each m costs one exact block up to max_k T(m, k) plus one gamma
     approximation per k.  Requests whose estimated work exceeds
-    ``budget`` are refused up front with the estimate attached.  When
-    ``sink`` is given it receives the list of reports for each m as soon
-    as that m completes, so partial progress survives interruption of
-    large blocks; reports are emitted in (m, k) order either way.
+    ``budget`` (a non-negative number; ``inf`` disables the check) are
+    refused up front with the estimate attached.  When ``sink`` is given
+    it receives the list of reports for each m as soon as that m
+    completes, so partial progress survives interruption of large blocks;
+    reports are emitted in (m, k) order either way.
     """
-    if not isinstance(M, int) or M < 1:
-        raise DomainError("M must be a positive integer")
-    if not (0.0 < theta <= 1.0):
-        raise DomainError("theta must satisfy 0 < theta <= 1")
+    if not budget >= 0.0:  # NaN fails the comparison too
+        raise DomainError("budget must satisfy budget >= 0")
     grid = _truncation_grid(M, theta)
-    estimated = float(sum(sum(t * t for t in row) for row in grid))
+    estimated = _block_work(grid)
     if estimated > budget:
         raise WorkBudgetError(estimated, budget)
 

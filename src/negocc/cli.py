@@ -52,42 +52,41 @@ def _fmt(value) -> str:
 
 
 def _params_from(ns) -> OccupancyParams:
+    """The --m/--k/--theta triple; every subcommand rejects --r with m = inf."""
+    if ns.r and ns.m == INFINITE:
+        raise DomainError("conditioning (--r > 0) requires finite m")
     return OccupancyParams(ns.m, ns.k, ns.theta)
 
 
 def _effective_params(ns) -> OccupancyParams:
     """Apply the conditional-start transform when --r is given."""
-    r = getattr(ns, "r", 0)
-    if r == 0:
-        return _params_from(ns)
-    if ns.m == INFINITE:
-        raise DomainError("conditioning (--r > 0) requires finite m")
-    return representations.conditional_params(ns.m, ns.k, ns.theta, r)
+    params = _params_from(ns)
+    if ns.r == 0:
+        return params
+    return representations.conditional_params(ns.m, ns.k, ns.theta, ns.r)
 
 
 def _default_tmax(ns, params: OccupancyParams) -> int:
-    if ns.tmax is not None:
-        if ns.tmax < 0:
-            raise DomainError("tmax must satisfy tmax >= 0")
-        return ns.tmax
-    return accuracy.truncation_point(params)
+    return accuracy.truncation_point(params) if ns.tmax is None else ns.tmax
 
 
 class _Output:
-    """Line sink for one invocation: stdout or --out FILE."""
+    """Line sink for one invocation: stdout or --out FILE, closed on exit."""
 
     def __init__(self, path):
-        self._close = path is not None
-        self._stream = open(path, "w") if path is not None else sys.stdout
+        self._stream = sys.stdout if path is None else open(path, "w")
 
     def line(self, text: str):
         self._stream.write(text + "\n")
 
-    def done(self):
-        if self._close:
-            self._stream.close()
-        else:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._stream is sys.stdout:
             self._stream.flush()
+        else:
+            self._stream.close()
 
 
 def _json_safe(value):
@@ -121,7 +120,7 @@ def _describe(ns, **extra) -> dict:
         "k": ns.k,
         "theta": ns.theta,
     }
-    if getattr(ns, "r", 0):
+    if ns.r:
         desc["r"] = ns.r
     desc.update(extra)
     return desc
@@ -223,15 +222,6 @@ def _run_gfun(ns, out: _Output) -> None:
     out.line(f"{ns.kind},{_fmt(ns.arg)},{_fmt(value)}")
 
 
-def _run_approx(ns, out: _Output) -> None:
-    params = _effective_params(ns)
-    tmax = _default_tmax(ns, params)
-    logs = gamma_approx.approx_log_pmf(params, tmax)
-    values = logs if ns.log else np.exp(logs)
-    rows = [(t, values[t]) for t in range(tmax + 1)]
-    _emit_rows(out, ns, _describe(ns), "gamma", "t,value", rows)
-
-
 def _run_rse_block(ns, out: _Output) -> None:
     desc = {"M": ns.m, "theta": ns.theta}
     if ns.summaries:
@@ -265,15 +255,14 @@ def _run_rse_block(ns, out: _Output) -> None:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(sp, *, with_r=True):
+def _add_common(sp):
     sp.add_argument("--m", type=_space_arg, required=True,
                     help="space parameter (positive integer or 'inf')")
     sp.add_argument("--k", type=int, required=True, help="occupancy parameter")
     sp.add_argument("--theta", type=float, required=True,
                     help="occupation probability in (0, 1]")
-    if with_r:
-        sp.add_argument("--r", type=int, default=0,
-                        help="conditional start: occupancy already reached")
+    sp.add_argument("--r", type=int, default=0,
+                    help="conditional start: occupancy already reached")
 
 
 def _add_output(sp):
@@ -338,7 +327,7 @@ def _build_parser() -> _Parser:
     approx.add_argument("--tmax", type=int, default=None)
     approx.add_argument("--log", action="store_true")
     _add_output(approx)
-    approx.set_defaults(handler=_run_approx)
+    approx.set_defaults(handler=_run_pmf, method="gamma", block=False)
 
     rse = sub.add_parser("rse-block",
                          help="approximation accuracy over 0 < k <= m <= M")
@@ -366,11 +355,9 @@ def execute(args) -> int:
     except _CliError as err:
         print(f"negocc: error: {err}", file=sys.stderr)
         return 2
-    out = None
     try:
-        out = _Output(ns.out)
-        ns.handler(ns, out)
-        out.done()
+        with _Output(ns.out) as out:
+            ns.handler(ns, out)
         return 0
     except WorkBudgetError as err:
         print(f"negocc: refused: {err}", file=sys.stderr)
@@ -378,12 +365,6 @@ def execute(args) -> int:
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"negocc: error: {err}", file=sys.stderr)
         return 2
-    finally:
-        if out is not None and out._close:
-            try:
-                out._stream.close()
-            except OSError:
-                pass
 
 
 def main() -> None:

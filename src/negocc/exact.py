@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import NEG_INF
-from .params import INFINITE, OccupancyParams
+from .params import INFINITE, OccupancyParams, check_triple
 
 __all__ = [
     "LogPmfBlock",
@@ -126,12 +126,13 @@ def _log_pmf_final_column(m: int, theta: float, k: int, tmax: int) -> np.ndarray
 def negbin_log_pmf(k: int, theta: float, t: int) -> float:
     """Negative binomial log mass (the m = INFINITE law): the k-fold
     convolution of Geom(theta) on the failures support."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("k must satisfy k >= 1")
-    if not (0.0 < theta <= 1.0):
-        raise DomainError("theta must satisfy 0 < theta <= 1")
+    theta = check_triple(INFINITE, k, theta)
     if not isinstance(t, int) or t < 0:
         raise DomainError("t must satisfy t >= 0")
+    return _negbin_log_pmf(k, theta, t)
+
+
+def _negbin_log_pmf(k: int, theta: float, t: int) -> float:
     if theta == 1.0:
         return 0.0 if t == 0 else NEG_INF
     return (
@@ -149,7 +150,7 @@ def log_pmf_vector(params: OccupancyParams, tmax: int) -> np.ndarray:
         raise DomainError("tmax must satisfy tmax >= 0")
     if params.is_infinite:
         return np.array(
-            [negbin_log_pmf(params.k, params.theta, t) for t in range(tmax + 1)]
+            [_negbin_log_pmf(params.k, params.theta, t) for t in range(tmax + 1)]
         )
     return _log_pmf_final_column(int(params.m), params.theta, params.k, tmax)
 
@@ -170,8 +171,6 @@ def coupon_collector_pmf_vector(
     """
     if m == INFINITE:
         raise DomainError("the coupon-collector distribution requires finite m")
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("m must be a positive integer")
     return pmf_vector(OccupancyParams(m, m, theta), tmax, log_output=log_output)
 
 

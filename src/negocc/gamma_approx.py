@@ -12,7 +12,6 @@ evaluation because the upper CDF value of one interval is reused as the
 lower value of the next.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .exact import pmf_vector
 from .moments import mean_variance
-from .numerics import NEG_INF, gamma_log_cdf_grid
+from .numerics import NEG_INF, gamma_log_cdf_grid, log_diff_grid
 from .params import OccupancyParams
 
 __all__ = [
@@ -37,9 +36,6 @@ __all__ = [
 #: this default matches the largest block the accuracy study computes
 #: exactly, and every caller can override it.
 DEFAULT_SWITCH_THRESHOLD = 1000
-
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class GammaApproxParams:
@@ -67,22 +63,6 @@ def approx_params(mean: float, variance: float) -> GammaApproxParams:
     return GammaApproxParams(alpha=shifted**2 / variance, beta=shifted / variance)
 
 
-def _log_diff_grid(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Elementwise log(exp(upper) - exp(lower)) for CDF grids.
-
-    Monotone in exact arithmetic; where rounding or tail underflow makes
-    the difference vanish, the entry is -inf rather than a noisy small
-    value.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = lower - upper
-        via_expm1 = upper + np.log(-np.expm1(d))
-        via_log1p = upper + np.log1p(-np.exp(d))
-        out = np.where(d > -_LN2, via_expm1, via_log1p)
-        out = np.where(d < 0.0, out, NEG_INF)
-    return np.where(np.isnan(out), NEG_INF, out)
-
-
 def approx_log_pmf(params: OccupancyParams, tmax: int) -> np.ndarray:
     """Approximate log-pmf over t = 0..tmax.
 
@@ -99,7 +79,7 @@ def approx_log_pmf(params: OccupancyParams, tmax: int) -> np.ndarray:
         return out
     gp = approx_params(mean, variance)
     grid = gamma_log_cdf_grid(np.arange(tmax + 2, dtype=float), gp.alpha, gp.beta)
-    return _log_diff_grid(grid[1:], grid[:-1])
+    return log_diff_grid(grid[1:], grid[:-1])
 
 
 def approx_pmf(params: OccupancyParams, tmax: int) -> np.ndarray:

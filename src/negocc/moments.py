@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateMomentsError, DomainError, SingularityError
 from .numerics import harmonic_power_sum, stirling2
-from .params import INFINITE, OccupancyParams
+from .params import INFINITE, OccupancyParams, check_triple
 
 __all__ = [
     "CumulantSet",
@@ -88,33 +88,37 @@ def _h(params: OccupancyParams, order: int) -> float:
     return harmonic_power_sum(params.m, params.k, params.theta, order)
 
 
-def cumulant(params: OccupancyParams, r: int) -> float:
-    """r-th cumulant from its closed form.
+def _cumulants(params: OccupancyParams, order: int) -> tuple:
+    """kappa_1..kappa_order from one pass over h_1..h_order:
 
     kappa_r = sum_{i=1}^{r} (-1)**(r-i) * S(r, i) * (i-1)! * h_i  -  k*[r == 1].
+
+    kappa_1 and kappa_2 come out bit-identical to the direct two-sum of
+    :func:`mean_variance` (h_1 - k and -h_1 + h_2).
     """
-    if not isinstance(r, int) or r < 1:
-        raise DomainError("r must be a positive integer")
-    if r > _MAX_CUMULANT_ORDER:
+    if not isinstance(order, int) or order < 1:
+        raise DomainError("order must be a positive integer")
+    if order > _MAX_CUMULANT_ORDER:
         raise DomainError(f"cumulant order is limited to r <= {_MAX_CUMULANT_ORDER}")
-    total = 0.0
-    for i in range(1, r + 1):
-        sign = -1.0 if (r - i) % 2 else 1.0
-        total += sign * stirling2(r, i) * math.factorial(i - 1) * _h(params, i)
-    if r == 1:
-        total -= params.k
-    return total
+    h = [_h(params, i) for i in range(1, order + 1)]
+    kappas = []
+    for r in range(1, order + 1):
+        total = 0.0
+        for i in range(1, r + 1):
+            sign = -1.0 if (r - i) % 2 else 1.0
+            total += sign * stirling2(r, i) * math.factorial(i - 1) * h[i - 1]
+        kappas.append(total - params.k if r == 1 else total)
+    return tuple(kappas)
+
+
+def cumulant(params: OccupancyParams, r: int) -> float:
+    """r-th cumulant from its closed form (see :func:`cumulant_set`)."""
+    return _cumulants(params, r)[-1]
 
 
 def cumulant_set(params: OccupancyParams, order: int) -> CumulantSet:
-    """Cumulants kappa_1..kappa_order."""
-    if not isinstance(order, int) or order < 1:
-        raise DomainError("order must be a positive integer")
-    return CumulantSet(
-        params=params,
-        order=order,
-        kappas=tuple(cumulant(params, r) for r in range(1, order + 1)),
-    )
+    """Cumulants kappa_1..kappa_order, from one pass over h_1..h_order."""
+    return CumulantSet(params=params, order=order, kappas=_cumulants(params, order))
 
 
 def mean_variance(params: OccupancyParams) -> tuple:
@@ -124,33 +128,35 @@ def mean_variance(params: OccupancyParams) -> tuple:
     return h1 - params.k, max(h2 - h1, 0.0)
 
 
+def moment_summary(params: OccupancyParams) -> MomentSummary:
+    """Mean/variance always; skewness/kurtosis unless degenerate.
+
+    One pass over h_1..h_4 (four harmonic power sums) serves all four.
+    """
+    k1, k2, k3, k4 = _cumulants(params, 4)
+    var = max(k2, 0.0)
+    if var == 0.0:
+        return MomentSummary(mean=k1, variance=var)
+    return MomentSummary(
+        mean=k1, variance=var, skewness=k3 / var**1.5, kurtosis=3.0 + k4 / var**2
+    )
+
+
+def _shape_summary(params: OccupancyParams, name: str) -> MomentSummary:
+    summary = moment_summary(params)
+    if summary.is_degenerate:
+        raise DegenerateMomentsError(f"{name} is undefined for a point mass")
+    return summary
+
+
 def skewness(params: OccupancyParams) -> float:
     """kappa_3 / kappa_2**1.5; degenerate distributions are rejected."""
-    _, var = mean_variance(params)
-    if var == 0.0:
-        raise DegenerateMomentsError("skewness is undefined for a point mass")
-    return cumulant(params, 3) / var**1.5
+    return _shape_summary(params, "skewness").skewness
 
 
 def kurtosis(params: OccupancyParams) -> float:
     """3 + kappa_4 / kappa_2**2; degenerate distributions are rejected."""
-    _, var = mean_variance(params)
-    if var == 0.0:
-        raise DegenerateMomentsError("kurtosis is undefined for a point mass")
-    return 3.0 + cumulant(params, 4) / var**2
-
-
-def moment_summary(params: OccupancyParams) -> MomentSummary:
-    """Mean/variance always; skewness/kurtosis unless degenerate."""
-    mean, var = mean_variance(params)
-    if var == 0.0:
-        return MomentSummary(mean=mean, variance=var)
-    return MomentSummary(
-        mean=mean,
-        variance=var,
-        skewness=skewness(params),
-        kurtosis=kurtosis(params),
-    )
+    return _shape_summary(params, "kurtosis").kurtosis
 
 
 def total_hitting_moments(params: OccupancyParams) -> tuple:
@@ -216,24 +222,24 @@ def generating_function(params: OccupancyParams, kind: str, arg: float):
         theta**k * prod_{l=m-k+1}^{m} l / (m - (m - l*theta)*<arg>)
 
     is evaluated through its log-sum for stability; the CGF returns that
-    log-sum directly.  Arguments outside the stated domain of convergence
-    raise a domain error naming the bound.
+    log-sum directly.  The CF exists for every real s; pgf/mgf/cgf
+    arguments outside their domain of convergence raise a domain error
+    naming the bound.
     """
     if kind not in GENERATING_FUNCTION_KINDS:
         raise DomainError(f"kind must be one of {GENERATING_FUNCTION_KINDS}")
     arg = float(arg)
-    radius = _pgf_radius(params)
-    log_radius = math.log(radius) if radius != math.inf else math.inf
     k, theta = params.k, params.theta
 
     if kind == "pgf":
+        radius = _pgf_radius(params)
         _check_bound(arg, radius, "pgf argument must satisfy |z| < bound", True)
         transformed = arg
     elif kind == "mgf" or kind == "cgf":
+        log_radius = math.log(_pgf_radius(params))  # log(inf) is inf
         _check_bound(arg, log_radius, f"{kind} argument must satisfy s < log-bound", False)
         transformed = math.exp(arg)
-    else:  # cf
-        _check_bound(arg, log_radius, "cf argument must satisfy |s| < log-bound", True)
+    else:  # cf: |exp(i*s)| = 1 lies inside the pgf disc for every real s
         transformed = cmath.exp(1j * arg)
 
     if params.is_infinite:
@@ -276,6 +282,13 @@ def cgf_maclaurin(params: OccupancyParams, s: float, n_terms: int) -> float:
 # -- asymptotics (m, k large at fixed occupancy fraction) --------------------
 
 
+def _finite_space(m, k, theta) -> float:
+    """Validated theta of a finite-m triple; the limits scale with m."""
+    if m == INFINITE:
+        raise DomainError("asymptotic forms require finite m")
+    return check_triple(m, k, theta)
+
+
 def asymptotic_cgf(m: int, occupancy_fraction: float, theta: float, s: float) -> float:
     """Limiting cumulant function, m times a function of (k/m, theta, s).
 
@@ -292,10 +305,7 @@ def asymptotic_cgf(m: int, occupancy_fraction: float, theta: float, s: float) ->
     lam = float(occupancy_fraction)
     if not (0.0 < lam < 1.0):
         raise DomainError("occupancy_fraction must lie strictly inside (0, 1)")
-    if not (0.0 < theta <= 1.0):
-        raise DomainError("theta must satisfy 0 < theta <= 1")
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("m must be a positive integer")
+    theta = _finite_space(m, 1, theta)  # k = 1 stands in: the fraction sets k/m
     es = math.exp(float(s))
     if theta == 1.0:
         a2 = 1.0 - lam * es
@@ -326,14 +336,9 @@ def asymptotic_moments(m: int, k: int, theta: float) -> AsymptoticMoments:
     with the third and fourth cumulants from the derivatives of the
     limiting cumulant function.  k >= m makes the logarithm singular.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("m must be a positive integer")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("k must satisfy k >= 1")
+    theta = _finite_space(m, k, theta)
     if k >= m:
         raise SingularityError("asymptotic moments require k < m")
-    if not (0.0 < theta <= 1.0):
-        raise DomainError("theta must satisfy 0 < theta <= 1")
     lam = k / m
     log1m = math.log1p(-lam)  # log((m-k)/m)
     mu = -k - (m / theta) * log1m

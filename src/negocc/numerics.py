@@ -12,6 +12,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError, OracleRangeError
+from .params import INFINITE, check_triple
 
 NEG_INF = float("-inf")
 
@@ -47,25 +48,32 @@ def log_sum_exp(terms) -> float:
     return peak + math.log1p(rest)
 
 
-def log_diff_exp(l1: float, l2: float) -> float:
-    """log(exp(l1) - exp(l2)) for l1 >= l2, in log-space.
+def log_diff_grid(upper, lower) -> np.ndarray:
+    """Elementwise log(exp(upper) - exp(lower)), in log-space.
 
-    Equal arguments give ``-inf``.  The difference is computed as
-    ``l1 + log(1 - exp(l2 - l1))`` with the usual switch between
-    ``log(-expm1(d))`` and ``log1p(-exp(d))`` so both small and large
-    gaps keep full precision.
+    The difference is ``upper + log(1 - exp(lower - upper))`` with the
+    usual switch between ``log(-expm1(d))`` and ``log1p(-exp(d))`` so both
+    small and large gaps keep full precision.  Where rounding or tail
+    underflow makes the difference vanish or go negative, the entry is
+    ``-inf`` rather than a noisy small value.
     """
-    l1, l2 = float(l1), float(l2)
-    if l1 < l2:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = lower - upper
+        via_expm1 = upper + np.log(-np.expm1(d))
+        via_log1p = upper + np.log1p(-np.exp(d))
+        out = np.where(d > -_LN2, via_expm1, via_log1p)
+        out = np.where(d < 0.0, out, NEG_INF)
+    return np.where(np.isnan(out), NEG_INF, out)
+
+
+def log_diff_exp(l1: float, l2: float) -> float:
+    """log(exp(l1) - exp(l2)) for l1 >= l2; equal arguments give ``-inf``.
+
+    The scalar form of :func:`log_diff_grid`.
+    """
+    if float(l1) < float(l2):
         raise DomainError("log_diff_exp requires l1 >= l2")
-    if l1 == l2:
-        return NEG_INF
-    if l2 == NEG_INF:
-        return l1
-    d = l2 - l1  # < 0
-    if d > -_LN2:
-        return l1 + math.log(-math.expm1(d))
-    return l1 + math.log1p(-math.exp(d))
+    return float(log_diff_grid(l1, l2))
 
 
 def harmonic_number(m: int, order: int = 1) -> float:
@@ -98,19 +106,17 @@ def harmonic_power_sum(m, k: int, theta: float, order: int) -> float:
     """
     if not isinstance(order, int) or order < 1:
         raise DomainError("order must be a positive integer")
-    if not (0.0 < theta <= 1.0):
-        raise DomainError("theta must satisfy 0 < theta <= 1")
-    if m == math.inf:
-        if k < 1:
-            raise DomainError("k must satisfy k >= 1")
-        return k * theta ** -order
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("m must be a positive integer or INFINITE")
-    if not 1 <= k <= m:
-        raise DomainError("k must satisfy 0 < k <= m")
-    total = 0.0
-    for l in range(m - k + 1, m + 1):
-        total += (m / (theta * l)) ** order
+    theta = check_triple(m, k, theta)
+    try:
+        if m == INFINITE:
+            return k * theta ** -order
+        total = 0.0
+        for l in range(m - k + 1, m + 1):
+            total += (m / (theta * l)) ** order
+    except OverflowError:
+        raise DomainError(
+            f"theta is too small: (m / theta)**{order} overflows a double"
+        ) from None
     return total
 
 
@@ -165,13 +171,12 @@ def stirling2(r: int, i: int) -> int:
 mp_lock = threading.RLock()
 
 _stirling_cache: dict = {}
-_stirling_lock = mp_lock
 
 
 def _stirling_column(j: int, phi: float, n_max: int) -> list:
     """mpf values S(n, j, phi) for n = j..n_max (column j of the table)."""
     key = (j, phi)
-    with _stirling_lock:
+    with mp_lock:
         col = _stirling_cache.get(key)
         if col is not None and len(col) >= n_max - j + 1:
             return col
@@ -191,7 +196,7 @@ def _stirling_column(j: int, phi: float, n_max: int) -> list:
             for r in range(n - j + 1):
                 acc += powers[r] * below[n - 1 - r - (j - 1)]
             col.append(acc)
-    with _stirling_lock:
+    with mp_lock:
         kept = _stirling_cache.get(key)
         if kept is None or len(kept) < len(col):
             _stirling_cache[key] = col

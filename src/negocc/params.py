@@ -15,13 +15,28 @@ from .errors import DomainError
 INFINITE = math.inf
 
 
-def _validate_space(m) -> None:
-    if m == INFINITE:
-        return
-    if not isinstance(m, (int,)) or isinstance(m, bool):
-        raise DomainError("m must be a positive integer or INFINITE")
-    if m < 1:
-        raise DomainError("m must satisfy m >= 1")
+def check_triple(m, k, theta) -> float:
+    """Validate a parameter triple and return theta as a float.
+
+    The one place the constraints on (m, k, theta) are checked:
+    :class:`OccupancyParams` runs it on construction, and the functions
+    that take a bare triple call it directly.
+    """
+    if m != INFINITE:
+        if type(m) is not int:  # rejects bool, which is an int subclass
+            raise DomainError("m must be a positive integer or INFINITE")
+        if m < 1:
+            raise DomainError("m must satisfy m >= 1")
+    if type(k) is not int:
+        raise DomainError("k must be a positive integer")
+    if k < 1:
+        raise DomainError("k must satisfy k >= 1")
+    if k > m:
+        raise DomainError("k must satisfy 0 < k <= m")
+    theta = float(theta)
+    if not 0.0 < theta <= 1.0:  # NaN fails the comparison too
+        raise DomainError("theta must satisfy 0 < theta <= 1")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -47,17 +62,7 @@ class OccupancyParams:
     theta: float
 
     def __post_init__(self):
-        _validate_space(self.m)
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise DomainError("k must be a positive integer")
-        if self.k < 1:
-            raise DomainError("k must satisfy k >= 1")
-        if self.m != INFINITE and self.k > self.m:
-            raise DomainError("k must satisfy 0 < k <= m")
-        theta = float(self.theta)
-        if not (0.0 < theta <= 1.0) or math.isnan(theta):
-            raise DomainError("theta must satisfy 0 < theta <= 1")
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", check_triple(self.m, self.k, self.theta))
 
     @property
     def is_infinite(self) -> bool:
@@ -66,8 +71,3 @@ class OccupancyParams:
     @property
     def is_coupon_collector(self) -> bool:
         return not self.is_infinite and self.k == self.m
-
-    def describe(self) -> dict:
-        """JSON-friendly rendering of the parameter triple."""
-        m = "inf" if self.is_infinite else int(self.m)
-        return {"m": m, "k": self.k, "theta": self.theta}

@@ -21,7 +21,7 @@ from .numerics import (
     _stirling2_noncentral_mp,
     mp_lock,
 )
-from .params import INFINITE, OccupancyParams
+from .params import INFINITE, OccupancyParams, check_triple
 
 __all__ = [
     "WeightVector",
@@ -178,12 +178,11 @@ def conditional_params(m: int, k: int, theta: float, r: int) -> OccupancyParams:
     out of the space and into the probability parameter,
     (m', k', theta') = (m - r, k, theta*(m-r)/m).
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("m must be a positive integer")
     if not isinstance(r, int) or r < 0:
         raise DomainError("r must satisfy r >= 0")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("k must satisfy k >= 1")
+    theta = check_triple(m, k, theta)
+    if m == INFINITE:
+        raise DomainError("conditioning requires finite m")
     if r + k > m:
         raise DomainError("conditioning requires r + k <= m")
     return OccupancyParams(m - r, k, theta * (m - r) / m)

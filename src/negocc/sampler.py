@@ -5,7 +5,9 @@ success probability theta*(m-l+1)/m (theta itself when m is infinite,
 and l shifted by the conditioning occupancy).  Each draw consumes exactly
 k uniforms from a PCG64 stream, so draw i always sees uniforms
 i*k..(i+1)*k-1 regardless of how the work is chunked: sequences are
-bit-reproducible under any chunk size and across parallel ranges.
+bit-reproducible under any chunking and across parallel ranges.  A chunk
+holds at most ``_CHUNK_DOUBLES`` uniforms but always at least one draw, so
+peak memory does not grow with k while k <= ``_CHUNK_DOUBLES``.
 """
 
 import math
@@ -18,7 +20,8 @@ from .params import OccupancyParams
 
 __all__ = ["SampleConfig", "sample_geometric", "sample_negocc", "empirical_pmf"]
 
-_DEFAULT_CHUNK = 1 << 16
+#: Uniforms per chunk (32 MiB of doubles); a chunk holds at least one draw.
+_CHUNK_DOUBLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -93,18 +96,16 @@ def _sample_range(seed: int, start: int, count: int, probs: np.ndarray) -> np.nd
     return draws
 
 
-def sample_negocc(config: SampleConfig, chunk_size: int = _DEFAULT_CHUNK) -> np.ndarray:
+def sample_negocc(config: SampleConfig) -> np.ndarray:
     """n draws from the (possibly conditional) negative occupancy law.
 
-    Deterministic in the seed, order-stable by draw index, and invariant
-    to ``chunk_size`` (which only bounds peak memory).
+    Deterministic in the seed and order-stable by draw index.
     """
-    if not isinstance(chunk_size, int) or chunk_size < 1:
-        raise DomainError("chunk_size must be a positive integer")
     probs = _increment_probs(config)
+    chunk = max(_CHUNK_DOUBLES // probs.size, 1)
     out = np.empty(config.n, dtype=np.int64)
-    for start in range(0, config.n, chunk_size):
-        count = min(chunk_size, config.n - start)
+    for start in range(0, config.n, chunk):
+        count = min(chunk, config.n - start)
         out[start : start + count] = _sample_range(config.seed, start, count, probs)
     return out
 

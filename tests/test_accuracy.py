@@ -103,6 +103,12 @@ class TestRseBlock:
         assert err.value.estimated == pytest.approx(estimate)
         assert err.value.budget == pytest.approx(estimate / 2.0)
 
+    def test_budget_must_be_non_negative(self):
+        for budget in (float("nan"), -1.0):
+            with pytest.raises(DomainError, match="budget"):
+                rse_block(3, 1.0, budget=budget)
+        assert len(rse_block(3, 1.0, budget=math.inf)) == 6
+
     def test_work_estimate_is_sum_of_squares(self):
         expected = sum(
             truncation_point(OccupancyParams(m, k, 0.7)) ** 2

@@ -232,6 +232,29 @@ class TestOtherCommands:
         )
         assert code == 2 and "bound" in err
 
+    def test_gfun_cf_beyond_log_radius(self, capsys):
+        code, out, err = run(
+            capsys, "gfun", "--m", "5", "--k", "2", "--theta", "0.5",
+            "--kind", "cf", "--arg", "3",
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].startswith("cf,3,")
+
+    def test_tiny_theta_names_theta(self, capsys):
+        code, out, err = run(capsys, "pmf", "--m", "5", "--k", "2", "--theta", "1e-300")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("negocc: error: theta ")
+
+    def test_sample_rejects_conditioning_at_infinite_m(self, capsys):
+        message = "conditioning (--r > 0) requires finite m"
+        for command, extra in (("sample", ["--n", "5"]), ("pmf", [])):
+            code, out, err = run(
+                capsys, command, "--m", "inf", "--k", "2", "--theta", "0.5",
+                "--r", "1", *extra,
+            )
+            assert code == 2 and out == ""
+            assert err == f"negocc: error: {message}\n"
+
     def test_approx_matches_pmf_gamma(self, capsys):
         base = ["--m", "30", "--k", "14", "--theta", "0.6", "--tmax", "6"]
         _, via_approx, _ = run(capsys, "approx", *base)
@@ -265,6 +288,14 @@ class TestRseBlockCommand:
         assert code == 3 and "budget" in err
         # streaming must not have emitted any data rows before refusing
         assert out == ""
+
+    def test_budget_must_be_non_negative(self, capsys):
+        for budget in ("nan", "-1"):
+            code, out, err = run(
+                capsys, "rse-block", "--m", "3", "--theta", "1.0", "--budget", budget
+            )
+            assert code == 2 and out == ""
+            assert err == "negocc: error: budget must satisfy budget >= 0\n"
 
     def test_json(self, capsys):
         _, out, _ = run(

@@ -56,13 +56,12 @@ class TestApproxLogPmf:
     def test_exponential_first_cell(self):
         # synthetic alpha = beta = 1 (mean 1/2, variance 1): the t = 0
         # cell is the Exp(1) probability of [0, 1)
-        from negocc.gamma_approx import _log_diff_grid
-        from negocc.numerics import gamma_log_cdf_grid
+        from negocc.numerics import gamma_log_cdf_grid, log_diff_grid
 
         gp = approx_params(0.5, 1.0)
         assert (gp.alpha, gp.beta) == pytest.approx((1.0, 1.0), rel=1e-15)
         grid = gamma_log_cdf_grid(np.array([0.0, 1.0]), gp.alpha, gp.beta)
-        cell = math.exp(_log_diff_grid(grid[1:], grid[:-1])[0])
+        cell = math.exp(log_diff_grid(grid[1:], grid[:-1])[0])
         assert cell == pytest.approx(-math.expm1(-1.0), rel=1e-13)
 
     def test_cdf_telescoping(self):

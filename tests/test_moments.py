@@ -96,6 +96,32 @@ class TestMomentSummary:
         assert summary.skewness == pytest.approx((2 - 0.5) / math.sqrt(2 * 0.5))
         assert summary.kurtosis == pytest.approx(3 + (6 + 0.5**2 / 0.5) / 2)
 
+    def test_one_pass_over_four_power_sums(self, monkeypatch):
+        import negocc.moments
+
+        orders = []
+
+        def counted(m, k, theta, order):
+            orders.append(order)
+            return harmonic_power_sum(m, k, theta, order)
+
+        monkeypatch.setattr(negocc.moments, "harmonic_power_sum", counted)
+        moment_summary(OccupancyParams(30, 14, 0.6))
+        assert orders == [1, 2, 3, 4]
+
+    def test_fields_derive_from_cumulant_set(self):
+        for (m, k, theta) in [(3, 2, 1.0), (30, 14, 0.6), (200, 200, 0.35),
+                              (INFINITE, 4, 0.3), (1, 1, 1.0), (INFINITE, 1, 1.0)]:
+            params = OccupancyParams(m, k, theta)
+            k1, k2, k3, k4 = cumulant_set(params, 4).kappas
+            summary = moment_summary(params)
+            assert (summary.mean, summary.variance) == (k1, max(k2, 0.0))
+            assert (summary.mean, summary.variance) == mean_variance(params)
+            if summary.is_degenerate:
+                continue
+            assert summary.skewness == k3 / k2**1.5 == skewness(params)
+            assert summary.kurtosis == 3.0 + k4 / k2**2 == kurtosis(params)
+
     def test_point_mass(self):
         summary = moment_summary(OccupancyParams(1, 1, 1.0))
         assert summary.mean == 0.0 and summary.variance == 0.0
@@ -205,6 +231,19 @@ class TestGeneratingFunctions:
         series = complex(np.sum(probs * np.exp(1j * s * np.arange(201))))
         got = generating_function(params, "cf", s)
         assert cmath.isclose(got, series, rel_tol=1e-10)
+
+    def test_cf_exists_beyond_the_pgf_log_radius(self):
+        # log radius of (5, 3, 0.9) is log(5 / 2.3) < 1; the CF is defined
+        # for every real s
+        params = OccupancyParams(5, 3, 0.9)
+        s = 3.0
+        probs = pmf_vector(params, 200)
+        series = complex(np.sum(probs * np.exp(1j * s * np.arange(201))))
+        got = generating_function(params, "cf", s)
+        assert abs(got - series) <= 1e-10
+        inf_params = OccupancyParams(INFINITE, 3, 0.4)
+        got = generating_function(inf_params, "cf", -7.5)
+        assert got == pytest.approx((0.4 / (1 - 0.6 * cmath.exp(-7.5j))) ** 3, rel=1e-14)
 
     def test_domain_error_names_bound(self):
         params = OccupancyParams(3, 2, 1.0)  # pgf bound m/(m-(m-k+1)theta) = 3

@@ -21,6 +21,7 @@ from negocc import (
     stirling2,
     stirling2_noncentral,
 )
+from negocc.numerics import log_diff_grid
 
 NEG_INF = float("-inf")
 
@@ -70,6 +71,15 @@ class TestLogDiffExp:
     def test_reversed_arguments_rejected(self):
         with pytest.raises(DomainError):
             log_diff_exp(-2.0, -1.0)
+
+    def test_scalar_form_of_the_grid(self):
+        upper = np.array([0.0, -1.0, -3.0, NEG_INF, -2.0])
+        lower = np.array([-0.1, -20.0, -3.0, NEG_INF, NEG_INF])
+        grid = log_diff_grid(upper, lower)
+        assert list(grid) == [log_diff_exp(u, l) for u, l in zip(upper, lower)]
+        assert grid[2] == grid[3] == NEG_INF and grid[4] == -2.0
+        # a rounding-reversed pair in a grid gives -inf, not NaN
+        assert log_diff_grid(np.array([-1.0]), np.array([-0.5]))[0] == NEG_INF
 
     @given(log_domain, log_domain)
     @settings(max_examples=300)
@@ -149,6 +159,12 @@ class TestHarmonicPowerSum:
     def test_domain(self):
         with pytest.raises(DomainError):
             harmonic_power_sum(3, 4, 1.0, 1)
+
+    def test_overflow_names_theta(self):
+        assert harmonic_power_sum(5, 2, 1e-300, 1) > 1e300
+        for m in (5, math.inf):
+            with pytest.raises(DomainError, match="theta"):
+                harmonic_power_sum(m, 2, 1e-300, 2)
 
 
 class TestLogFallingFactorial:

@@ -196,3 +196,10 @@ class TestConditionalParams:
             conditional_params(5, 3, 1.0, 3)
         with pytest.raises(DomainError):
             conditional_params(5, 3, 1.0, -1)
+        with pytest.raises(DomainError):
+            conditional_params(INFINITE, 3, 0.5, 1)
+
+    def test_theta_checked_before_the_transform(self):
+        # theta' = 1.5 * 2/4 would be valid; the input theta is not
+        with pytest.raises(DomainError, match="theta"):
+            conditional_params(4, 2, 1.5, 2)

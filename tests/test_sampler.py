@@ -1,10 +1,12 @@
 """Random variate generation and empirical frequencies."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from negocc import sampler
 from negocc import (
     INFINITE,
     DomainError,
@@ -18,6 +20,7 @@ from negocc import (
     sample_negocc,
     truncation_point,
 )
+from negocc.sampler import _increment_probs, _sample_range
 
 
 class TestSampleGeometric:
@@ -54,10 +57,46 @@ class TestSampleNegocc:
         np.testing.assert_array_equal(sample_negocc(config), sample_negocc(config))
 
     def test_chunk_size_invariance(self):
+        # draws from any split of the index range into _sample_range calls
+        # match one unsplit range and the public sampler
         config = SampleConfig(OccupancyParams(9, 4, 0.7), n=1000, seed=5)
-        full = sample_negocc(config, chunk_size=1000)
-        chunked = sample_negocc(config, chunk_size=7)
+        probs = _increment_probs(config)
+        full = _sample_range(5, 0, 1000, probs)
+        chunked = np.concatenate(
+            [_sample_range(5, s, min(7, 1000 - s), probs) for s in range(0, 1000, 7)]
+        )
         np.testing.assert_array_equal(full, chunked)
+        np.testing.assert_array_equal(sample_negocc(config), full)
+
+    def test_chunks_bounded_at_large_k(self, monkeypatch):
+        # record the (draws, k) shape of every requested chunk instead of
+        # drawing it: at k = 30000 one chunk of 65,536 draws would be 14.6 GiB
+        shapes = []
+
+        def record(seed, start, count, probs):
+            shapes.append((start, count, probs.size))
+            return np.zeros(count, dtype=np.int64)
+
+        monkeypatch.setattr(sampler, "_sample_range", record)
+        config = SampleConfig(OccupancyParams(100000, 30000, 0.5), n=200000, seed=0)
+        assert sample_negocc(config).shape == (200000,)
+        starts, counts, ks = zip(*shapes)
+        assert set(ks) == {30000} and min(counts) >= 1
+        assert max(counts) * 30000 <= sampler._CHUNK_DOUBLES
+        assert list(starts) == [0, *itertools.accumulate(counts[:-1])]
+        assert sum(counts) == 200000
+
+    def test_chunk_holds_one_draw_beyond_the_cap(self, monkeypatch):
+        counts = []
+
+        def record(seed, start, count, probs):
+            counts.append(count)
+            return np.zeros(count, dtype=np.int64)
+
+        monkeypatch.setattr(sampler, "_CHUNK_DOUBLES", 3)  # below k = 4
+        monkeypatch.setattr(sampler, "_sample_range", record)
+        sample_negocc(SampleConfig(OccupancyParams(9, 4, 0.7), n=5, seed=0))
+        assert counts == [1, 1, 1, 1, 1]
 
     def test_seed_changes_stream(self):
         a = sample_negocc(SampleConfig(OccupancyParams(9, 4, 0.7), n=200, seed=1))
