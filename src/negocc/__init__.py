@@ -17,7 +17,6 @@ from .accuracy import (
     truncation_point,
 )
 from .errors import (
-    ConvergenceError,
     DegenerateMomentsError,
     DomainError,
     OracleRangeError,

@@ -2,12 +2,13 @@
 
 Every subcommand writes CSV (default) or JSON to stdout or ``--out`` and
 exits 0; usage and domain violations print a one-line diagnostic to
-stderr and exit 2; a refused block computation exits 3.  Numeric output
-carries 17 significant digits.  The literal ``inf`` spells an infinite
-space parameter.
+stderr and exit 2; a refused block computation, or an allocation the
+machine cannot make, exits 3.  Numeric output carries 17 significant
+digits.  The literal ``inf`` spells an infinite space parameter.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -105,13 +106,25 @@ def _emit_json(out: _Output, params: dict, method: str, values):
     out.line(json.dumps(payload))
 
 
-def _emit_rows(out: _Output, ns, params_desc, method, header, rows):
+#: Rows formatted per write, so CSV output memory does not grow with the table.
+_CSV_CHUNK_ROWS = 1 << 16
+
+
+def _emit_table(out: _Output, ns, params_desc, method, header, *columns):
+    """Equal-length columns as CSV rows, or as JSON: a plain list for one
+    column, ``[row, ...]`` for several."""
     if ns.format == "json":
-        _emit_json(out, params_desc, method, [list(row) for row in rows])
-    else:
-        out.line(header)
-        for row in rows:
-            out.line(",".join(_fmt(v) for v in row))
+        values = [column.tolist() for column in columns]
+        _emit_json(out, params_desc, method,
+                   values[0] if len(values) == 1 else list(zip(*values)))
+        return
+    # %d and %.17g render a cell exactly as _fmt does
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns)
+    out.line(header)
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        chunk = [c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns]
+        cells = tuple(itertools.chain.from_iterable(zip(*chunk)))
+        out.line("\n".join([row] * len(chunk[0])) % cells)
 
 
 def _describe(ns, **extra) -> dict:
@@ -139,12 +152,9 @@ def _run_pmf(ns, out: _Output) -> None:
             raise DomainError("--block output requires finite m")
         block = exact.log_pmf_block(int(params.m), params.theta, params.k, tmax)
         grid = block.values if ns.log else np.exp(block.values)
-        rows = [
-            (t, r, grid[t, r - 1])
-            for t in range(tmax + 1)
-            for r in range(1, block.k + 1)
-        ]
-        _emit_rows(out, ns, _describe(ns), "exact", "t,r,value", rows)
+        t, r = np.indices(grid.shape).reshape(2, -1)
+        _emit_table(out, ns, _describe(ns), "exact", "t,r,value",
+                    t, r + 1, grid.ravel())
         return
     if ns.method == "exact":
         values = exact.pmf_vector(params, tmax, log_output=ns.log)
@@ -157,22 +167,21 @@ def _run_pmf(ns, out: _Output) -> None:
         values, method = gamma_approx.auto_method_pmf(
             params, tmax, switch_threshold=ns.threshold, log_output=ns.log
         )
-    rows = [(t, values[t]) for t in range(tmax + 1)]
-    _emit_rows(out, ns, _describe(ns), method, "t,value", rows)
+    _emit_table(out, ns, _describe(ns), method, "t,value", np.arange(tmax + 1), values)
 
 
 def _run_cdf(ns, out: _Output) -> None:
     params = _effective_params(ns)
     tmax = _default_tmax(ns, params)
     values = exact.cdf_vector(params, tmax)
-    rows = [(t, values[t]) for t in range(tmax + 1)]
-    _emit_rows(out, ns, _describe(ns), "exact", "t,value", rows)
+    _emit_table(out, ns, _describe(ns), "exact", "t,value", np.arange(tmax + 1), values)
 
 
 def _run_quantile(ns, out: _Output) -> None:
     params = _effective_params(ns)
     t = exact.quantile(params, ns.p)
-    _emit_rows(out, ns, _describe(ns, p=ns.p), "exact", "p,value", [(ns.p, t)])
+    _emit_table(out, ns, _describe(ns, p=ns.p), "exact", "p,value",
+                np.array([ns.p]), np.array([t]))
 
 
 def _run_sample(ns, out: _Output) -> None:
@@ -181,12 +190,7 @@ def _run_sample(ns, out: _Output) -> None:
     )
     draws = sampler.sample_negocc(config)
     desc = _describe(ns, n=ns.n, seed=ns.seed)
-    if ns.format == "json":
-        _emit_json(out, desc, "simulation", [int(d) for d in draws])
-    else:
-        out.line("value")
-        for d in draws:
-            out.line(str(int(d)))
+    _emit_table(out, ns, desc, "simulation", "value", draws)
 
 
 def _run_moments(ns, out: _Output) -> None:
@@ -226,11 +230,10 @@ def _run_rse_block(ns, out: _Output) -> None:
     desc = {"M": ns.m, "theta": ns.theta}
     if ns.summaries:
         reports = accuracy.rse_block(ns.m, ns.theta, budget=ns.budget)
-        rows = [
-            (s.m, s.max_rse, s.mean_rse, s.diag_rse)
-            for s in accuracy.rse_summaries(reports)
-        ]
-        _emit_rows(out, ns, desc, "rse-block", "m,max_rse,mean_rse,diag_rse", rows)
+        summaries = accuracy.rse_summaries(reports)
+        fields = ("m", "max_rse", "mean_rse", "diag_rse")
+        columns = [np.array([getattr(s, f) for s in summaries]) for f in fields]
+        _emit_table(out, ns, desc, "rse-block", ",".join(fields), *columns)
         return
     if ns.format == "json":
         reports = accuracy.rse_block(ns.m, ns.theta, budget=ns.budget)
@@ -359,8 +362,8 @@ def execute(args) -> int:
         with _Output(ns.out) as out:
             ns.handler(ns, out)
         return 0
-    except WorkBudgetError as err:
-        print(f"negocc: refused: {err}", file=sys.stderr)
+    except (WorkBudgetError, MemoryError) as err:
+        print(f"negocc: refused: {str(err) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"negocc: error: {err}", file=sys.stderr)

@@ -23,10 +23,6 @@ class SingularityError(DomainError):
     """An asymptotic formula was evaluated exactly at a singular point."""
 
 
-class ConvergenceError(ArithmeticError):
-    """An iterative numerical routine hit its iteration cap."""
-
-
 class WorkBudgetError(RuntimeError):
     """A block computation was refused because its estimated work exceeds
     the configured budget.

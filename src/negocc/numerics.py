@@ -11,7 +11,7 @@ import threading
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import ConvergenceError, DomainError, OracleRangeError
+from .errors import DomainError, OracleRangeError
 from .params import INFINITE, check_triple
 
 NEG_INF = float("-inf")
@@ -236,21 +236,27 @@ def stirling2_noncentral(n: int, k: int, phi: float) -> float:
 
 # -- regularized incomplete gamma, in log-space -----------------------------
 
-_MAX_ITER = 200
-_REL_TOL = 1e-15
-_TINY = 1e-300
+#: Below these P the log comes from the power series instead of scipy's
+#: gammainc: its P underflows near 1e-300, and its own series stops at 2000
+#: terms, which converges only while shape < ~5e4; beyond that gammainc is
+#: used only within ~4 sd of the mean, where Temme's expansion takes over.
+_P_UNDERFLOW = 1e-290
+_P_CAPPED = 1e-5
+_CAPPED_SHAPE = 5e4
 
 
 def gamma_log_cdf_grid(x, shape: float, rate: float) -> np.ndarray:
     """log of the gamma(shape, rate) CDF at each point of ``x``.
 
-    The regularized lower incomplete gamma function P(shape, rate*x) is
-    computed by its power series when ``rate*x < shape + 1`` and from the
-    continued fraction of the upper function otherwise.  The series path
-    assembles the log directly from its leading factor, so tiny lower
-    tails come back as accurate finite logs instead of underflowing;
-    on the continued-fraction side P >= 1/2, so log1p(-Q) is
-    well-conditioned.  x = 0 gives ``-inf``.
+    With z = rate*x, the regularized incomplete gamma functions come from
+    scipy (DiDonato & Morris 1986, with Temme's uniform expansion for large
+    shape): log P where P < 1/2 and log1p(-Q) above, so neither side
+    cancels.  In the lower tail where scipy's P underflows or its series
+    stops short, the log is assembled from the power series
+    ``z**shape e**-z / Gamma(shape+1) * 1F1(1; shape+1; z)`` instead, so
+    deep lower tails come back as accurate finite logs.  x = 0 gives
+    ``-inf``.  A shape too large for that series to converge near the mean
+    (above about 1e10) is a domain error.
     """
     if shape <= 0.0 or rate <= 0.0:
         raise DomainError("shape and rate must be positive")
@@ -259,50 +265,33 @@ def gamma_log_cdf_grid(x, shape: float, rate: float) -> np.ndarray:
         x = x[np.newaxis]
     if np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise DomainError("x must be non-negative and finite")
+    # imported here: at module level scipy.special doubles the CLI's start-up
+    from scipy.special import gammainc, gammaincc, hyp1f1
+
     z = rate * x
-    out = np.full(z.shape, NEG_INF)
-
-    series = (z > 0.0) & (z < shape + 1.0)
-    if series.any():
-        zs = z[series]
-        term = np.ones_like(zs)
-        total = np.ones_like(zs)
-        for n in range(1, _MAX_ITER + 1):
-            term = term * (zs / (shape + n))
-            total = total + term
-            if np.all(term <= _REL_TOL * total):
-                break
-        else:
-            raise ConvergenceError("incomplete gamma series hit the iteration cap")
-        out[series] = shape * np.log(zs) - zs - math.lgamma(shape + 1.0) + np.log(total)
-
-    frac = z >= shape + 1.0
-    if frac.any():
-        zf = z[frac]
-        b = zf + 1.0 - shape
-        c = np.full_like(zf, 1.0 / _TINY)
-        d = 1.0 / b
-        h = d.copy()
-        done = np.zeros(zf.shape, dtype=bool)
-        for i in range(1, _MAX_ITER + 1):
-            an = -i * (i - shape)
-            b = b + 2.0
-            d = an * d + b
-            d = np.where(np.abs(d) < _TINY, _TINY, d)
-            c = b + an / c
-            c = np.where(np.abs(c) < _TINY, _TINY, c)
-            d = 1.0 / d
-            delta = d * c
-            h = np.where(done, h, h * delta)
-            done |= np.abs(delta - 1.0) < _REL_TOL
-            if done.all():
-                break
-        else:
-            raise ConvergenceError(
-                "incomplete gamma continued fraction hit the iteration cap"
+    p = gammainc(shape, z)
+    with np.errstate(divide="ignore"):
+        out = np.log(p)
+    upper = p >= 0.5
+    out[upper] = np.log1p(-gammaincc(shape, z[upper]))
+    floor = _P_UNDERFLOW if shape < _CAPPED_SHAPE else _P_CAPPED
+    tail = (p < floor) & (z > 0.0)
+    if tail.any():
+        a, zt = shape, z[tail]
+        # log of the leading factor z**a e**-z / Gamma(a+1); within a factor
+        # of two of a it is taken from its value at z = a (the same series
+        # over P(a, a)), so that a*log(z) does not cancel
+        lead = a * np.log(zt) - zt - math.lgamma(a + 1.0)
+        near = zt >= 0.5 * a
+        if near.any():
+            zn = zt[near]
+            at_shape = math.log(gammainc(a, a)) - math.log(hyp1f1(1.0, a + 1.0, a))
+            lead[near] = at_shape + a * np.log1p((zn - a) / a) - (zn - a)
+        out[tail] = lead + np.log(hyp1f1(1.0, a + 1.0, zt))
+        if np.isnan(out[tail]).any():
+            raise DomainError(
+                f"shape is too large for the incomplete gamma series: {shape:.6g}"
             )
-        log_upper = -zf + shape * np.log(zf) - math.lgamma(shape) + np.log(h)
-        out[frac] = np.log1p(-np.exp(log_upper))
     return out
 
 

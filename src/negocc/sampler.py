@@ -88,12 +88,12 @@ def _sample_range(seed: int, start: int, count: int, probs: np.ndarray) -> np.nd
     if start:
         bits.advance(start * k)
     u = np.random.Generator(bits).random((count, k))
-    draws = np.zeros(count, dtype=np.int64)
-    for j, p in enumerate(probs):
-        if p == 1.0:
-            continue  # certain success: the uniform is consumed, wait is 0
-        draws += np.floor(np.log1p(-u[:, j]) / math.log1p(-p)).astype(np.int64)
-    return draws
+    # a certain success (p = 1) divides by -inf: the uniform is consumed,
+    # the wait is 0
+    denom = np.array([math.log1p(-p) if p < 1.0 else -math.inf for p in probs])
+    waits = np.log1p(-u, out=u)
+    waits /= denom
+    return np.floor(waits, out=waits).astype(np.int64).sum(axis=1)
 
 
 def sample_negocc(config: SampleConfig) -> np.ndarray:

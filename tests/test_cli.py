@@ -142,6 +142,60 @@ class TestPmfCommand:
         )
         assert cond == direct
 
+    def test_gamma_route_beyond_shape_600(self, capsys):
+        # gamma shape k*(1 - theta) = 1000
+        base = ["pmf", "--m", "inf", "--k", "2000", "--theta", "0.5"]
+        code, out, err = run(capsys, *base, "--method", "auto")
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 2319
+        code, out, _ = run(capsys, *base, "--method", "gamma", "--log",
+                           "--format", "json")
+        assert code == 0
+        logs = [v for _, v in json.loads(out)["values"]]
+        assert all(isinstance(v, float) and math.isfinite(v) for v in logs)
+        assert logs[0] < -300.0
+
+    def test_out_of_memory_exits_three(self, capsys, monkeypatch):
+        from negocc import exact
+
+        for error, message in (
+            (MemoryError("Unable to allocate 74.6 TiB for an array"),
+             "Unable to allocate 74.6 TiB for an array"),
+            (MemoryError(), "out of memory"),
+        ):
+            def refuse(*args, error=error, **kwargs):
+                raise error
+
+            monkeypatch.setattr(exact, "log_pmf_vector", refuse)
+            code, out, err = run(capsys, "pmf", "--m", "5", "--k", "2",
+                                 "--theta", "0.5")
+            assert code == 3 and out == ""
+            assert err == f"negocc: refused: {message}\n"
+
+    def test_csv_chunks_match_plain_rendering(self, capsys, monkeypatch):
+        from negocc import OccupancyParams, cli, exact, sampler
+        from negocc.sampler import SampleConfig
+
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 3)
+        params = OccupancyParams(9, 4, 0.7)
+        triple = ["--m", "9", "--k", "4", "--theta", "0.7"]
+
+        def rows(header, values):
+            return header + "".join(f"{t},{v:.17g}\n" for t, v in enumerate(values))
+
+        _, out, _ = run(capsys, "pmf", *triple, "--tmax", "10")
+        assert out == rows("t,value\n", exact.pmf_vector(params, 10))
+        _, out, _ = run(capsys, "cdf", *triple, "--tmax", "9")
+        assert out == rows("t,value\n", exact.cdf_vector(params, 9))
+        _, out, _ = run(capsys, "pmf", *triple, "--tmax", "4", "--block")
+        grid = np.exp(exact.log_pmf_block(9, 0.7, 4, 4).values)
+        assert out == "t,r,value\n" + "".join(
+            f"{t},{r + 1},{grid[t, r]:.17g}\n" for t in range(5) for r in range(4)
+        )
+        _, out, _ = run(capsys, "sample", *triple, "--n", "11", "--seed", "2")
+        draws = sampler.sample_negocc(SampleConfig(params, n=11, seed=2))
+        assert out == "value\n" + "".join(f"{d}\n" for d in draws.tolist())
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "pmf.csv"
         code, out, _ = run(

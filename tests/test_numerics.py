@@ -296,6 +296,44 @@ class TestGammaLogCdf:
             got = gamma_log_cdf_grid(xs, shape, 0.5)
             np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-13)
 
+    @pytest.mark.parametrize("shape", [600.0, 5e3, 1e5, 1e6])
+    def test_large_shape_matches_mpmath(self, shape):
+        # across mean +- 60 sd; at 1e6 gammainc alone is off by 3e-7 near
+        # 5 sd below the mean, where its own series stops short
+        from mpmath import inf, log, mp, mpf
+        from mpmath import gammainc as mp_gammainc
+
+        sd = math.sqrt(shape)
+        xs = shape + sd * np.linspace(-60.0, 60.0, 49)
+        xs = xs[xs > 0.0]
+        got = gamma_log_cdf_grid(xs, shape, 1.0)
+        with mp.workdps(40):
+            a = mpf(shape)
+            ref = [
+                float(log(mp_gammainc(a, 0, mpf(x), regularized=True))) if x < shape
+                else float(log(1 - mp_gammainc(a, mpf(x), inf, regularized=True)))
+                for x in xs
+            ]
+        ref = np.array(ref)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_huge_shape_stays_finite_and_monotone(self):
+        shape = 1e9
+        sd = math.sqrt(shape)
+        xs = np.linspace(shape - 60.0 * sd, shape + 60.0 * sd, 100_000)
+        logs = gamma_log_cdf_grid(xs, shape, 1.0)
+        assert not np.any(np.isnan(logs))
+        assert np.all(np.isfinite(logs)) and np.all(logs <= 0.0)
+        assert np.all(np.diff(logs) >= 0.0)
+
+    def test_shape_beyond_the_series_is_domain_error(self):
+        # at shape 1e11 scipy's hyp1f1 stops short a few sd below the mean;
+        # far tails still converge
+        shape = 1e11
+        assert gamma_log_cdf(1.0, shape, 1.0) < -1e12
+        with pytest.raises(DomainError, match="shape is too large"):
+            gamma_log_cdf(shape - 5.0 * math.sqrt(shape), shape, 1.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_log_cdf(-1.0, 1.0, 1.0)

@@ -98,6 +98,22 @@ class TestSampleNegocc:
         sample_negocc(SampleConfig(OccupancyParams(9, 4, 0.7), n=5, seed=0))
         assert counts == [1, 1, 1, 1, 1]
 
+    @pytest.mark.parametrize("m, k, theta, r", [
+        (9, 4, 0.7, 0), (6, 6, 1.0, 0), (INFINITE, 3, 0.4, 0), (INFINITE, 2, 1.0, 0),
+        (10, 3, 0.8, 4),
+    ])
+    def test_matches_scalar_geometric_sum(self, m, k, theta, r):
+        # draw i is the sum of sample_geometric over uniforms i*k..(i+1)*k-1
+        config = SampleConfig(OccupancyParams(m, k, theta), n=60, seed=13,
+                              conditional_r=r)
+        if m == INFINITE:
+            probs = [theta] * k
+        else:
+            probs = [theta * (m - l + 1) / m for l in range(r + 1, r + k + 1)]
+        u = np.random.Generator(np.random.PCG64(13)).random((60, k))
+        expected = [sum(map(sample_geometric, probs, row)) for row in u.tolist()]
+        assert sample_negocc(config).tolist() == expected
+
     def test_seed_changes_stream(self):
         a = sample_negocc(SampleConfig(OccupancyParams(9, 4, 0.7), n=200, seed=1))
         b = sample_negocc(SampleConfig(OccupancyParams(9, 4, 0.7), n=200, seed=2))

@@ -13,8 +13,9 @@ with ``diff -r OUTDIR_A OUTDIR_B``: an empty diff means the CLI output is
 unchanged, byte for byte.
 
 The cases cover every subcommand in CSV and JSON, ``--log``, ``--block``,
-``--r``, ``m = inf``, ``--method gamma``/``auto``, ``approx``, rse-block
-``--summaries``, and the domain, parse and refusal errors.
+``--r``, ``m = inf``, ``--method gamma``/``auto`` (also at a gamma shape
+above 600), ``approx``, rse-block ``--summaries``, a CSV table longer than
+one write chunk, and the domain, parse and refusal errors.
 """
 
 import argparse
@@ -51,6 +52,7 @@ CASES.update({
                             "--tmax", "3", "--log", *_JSON],
     "pmf-block-csv": ["pmf", *_SMALL, "--tmax", "8", "--block"],
     "pmf-block-log-json": ["pmf", *_SMALL, "--tmax", "8", "--block", "--log", *_JSON],
+    "pmf-long-log-csv": ["pmf", *_INF, "--tmax", "70000", "--log"],
     "pmf-out-file": ["pmf", *_SMALL, "--tmax", "5",
                      "--out", "{outdir}/pmf-out-file.file"],
     # conditional start
@@ -77,6 +79,8 @@ CASES.update({
                             "--tmax", "8", "--method", "auto", *_JSON],
     "pmf-auto-threshold": ["pmf", *_TRIPLE, "--method", "auto", "--threshold", "10"],
     "approx-log-tmax": ["approx", *_SMALL, "--tmax", "9", "--log"],
+    "pmf-gamma-large-shape": ["pmf", "--m", "inf", "--k", "2000", "--theta", "0.5",
+                              "--method", "auto"],
     # generating functions
     "gfun-mgf": ["gfun", *_SMALL, "--kind", "mgf", "--arg", "0.1"],
     "gfun-cgf-json": ["gfun", *_SMALL, "--kind", "cgf", "--arg", "-0.3", *_JSON],
