@@ -49,7 +49,6 @@ from .moments import (
     asymptotic_cgf,
     asymptotic_moments,
     cgf_maclaurin,
-    classical_coupon_moments,
     cumulant,
     cumulant_set,
     generating_function,
@@ -62,8 +61,8 @@ from .moments import (
 from .numerics import (
     gamma_log_cdf,
     gamma_log_cdf_grid,
-    harmonic_number,
     harmonic_power_sum,
+    harmonic_power_sums,
     log_diff_exp,
     log_falling_factorial,
     log_sum_exp,

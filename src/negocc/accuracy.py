@@ -9,15 +9,15 @@ columns anyway, so the block study reuses what a single-k computation
 would waste.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, WorkBudgetError
 from .exact import log_pmf_block
-from .gamma_approx import approx_pmf
+from .gamma_approx import _moment_log_pmf
 from .moments import mean_variance
+from .numerics import harmonic_power_sums
 from .params import OccupancyParams
 
 __all__ = [
@@ -58,10 +58,14 @@ class RseSummary:
     diag_rse: float
 
 
+def _truncation(mean, variance):
+    """ceil(mean + 5*sd), floored at zero, of numbers or arrays."""
+    return np.maximum(np.ceil(mean + 5.0 * np.sqrt(variance)), 0.0)
+
+
 def truncation_point(params: OccupancyParams) -> int:
     """ceil(mean + 5*sd), floored at zero."""
-    mean, variance = mean_variance(params)
-    return max(math.ceil(mean + 5.0 * math.sqrt(variance)), 0)
+    return int(_truncation(*mean_variance(params)))
 
 
 def rse(exact, approx) -> float:
@@ -73,24 +77,23 @@ def rse(exact, approx) -> float:
     return float(np.sqrt(np.sum((exact - approx) ** 2)))
 
 
-def _truncation_grid(M: int, theta: float) -> list:
-    """T(m, k) for k = 1..m, for each m = 1..M."""
-    if not isinstance(M, int) or M < 1:
-        raise DomainError("M must be a positive integer")
-    return [
-        [truncation_point(OccupancyParams(m, k, theta)) for k in range(1, m + 1)]
-        for m in range(1, M + 1)
-    ]
-
-
-def _block_work(grid: list) -> float:
-    """Work units of a truncation grid: the sum of T(m, k)^2."""
-    return float(sum(sum(t * t for t in row) for row in grid))
+def _moment_table(m: int, theta: float) -> tuple:
+    """(mean, variance, T(m, k)) arrays over k = 1..m, one pass per power."""
+    h1 = harmonic_power_sums(m, m, theta, 1)
+    variance = np.maximum(harmonic_power_sums(m, m, theta, 2) - h1, 0.0)
+    mean = h1 - np.arange(1, m + 1)
+    return mean, variance, _truncation(mean, variance)
 
 
 def estimate_block_work(M: int, theta: float) -> float:
     """Work units for rse_block(M, theta): sum over m, k of T(m, k)^2."""
-    return _block_work(_truncation_grid(M, theta))
+    if not isinstance(M, int) or M < 1:
+        raise DomainError("M must be a positive integer")
+    work = 0.0
+    for m in range(1, M + 1):  # one table at a time: O(M) memory for any M
+        cut = _moment_table(m, theta)[2]
+        work += float(np.dot(cut, cut))
+    return work
 
 
 def rse_block(
@@ -102,38 +105,31 @@ def rse_block(
     """RSE reports for every 0 < k <= m <= M.
 
     Each m costs one exact block up to max_k T(m, k) plus one gamma
-    approximation per k.  Requests whose estimated work exceeds
-    ``budget`` (a non-negative number; ``inf`` disables the check) are
-    refused up front with the estimate attached.  When ``sink`` is given
-    it receives the list of reports for each m as soon as that m
-    completes, so partial progress survives interruption of large blocks;
-    reports are emitted in (m, k) order either way.
+    approximation per k, both read from one moment table per m.  Requests
+    whose estimated work exceeds ``budget`` (a non-negative number;
+    ``inf`` disables the check) are refused up front with the estimate
+    attached.  When ``sink`` is given it receives the list of reports for
+    each m as soon as that m completes, so partial progress survives
+    interruption of large blocks; reports are emitted in (m, k) order
+    either way.
     """
     if not budget >= 0.0:  # NaN fails the comparison too
         raise DomainError("budget must satisfy budget >= 0")
-    grid = _truncation_grid(M, theta)
-    estimated = _block_work(grid)
+    estimated = estimate_block_work(M, theta)
     if estimated > budget:
         raise WorkBudgetError(estimated, budget)
 
     reports: list = []
     for m in range(1, M + 1):
-        truncations = grid[m - 1]
-        block = log_pmf_block(m, theta, m, max(truncations))
+        means, variances, cuts = _moment_table(m, theta)
+        block = log_pmf_block(m, theta, m, int(cuts.max()))
+        cells = zip(means.tolist(), variances.tolist(), cuts.astype(int).tolist())
         rows = []
-        for k in range(1, m + 1):
-            t_cut = truncations[k - 1]
-            exact = block.column(k)[: t_cut + 1]
-            approx = approx_pmf(OccupancyParams(m, k, theta), t_cut)
-            rows.append(
-                RseReport(
-                    m=m,
-                    k=k,
-                    theta=theta,
-                    truncation=t_cut,
-                    rse=rse(exact, approx),
-                )
-            )
+        for k, (mean, variance, t_cut) in enumerate(cells, start=1):
+            exact = np.exp(block.log_column(k)[: t_cut + 1])
+            approx = np.exp(_moment_log_pmf(mean, variance, t_cut))
+            rows.append(RseReport(m=m, k=k, theta=theta, truncation=t_cut,
+                                  rse=rse(exact, approx)))
         reports.extend(rows)
         if sink is not None:
             sink(rows)

@@ -8,6 +8,7 @@ digits.  The literal ``inf`` spells an infinite space parameter.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -274,6 +275,7 @@ def _add_output(sp):
                     help="output file (default: standard output)")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="negocc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

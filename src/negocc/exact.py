@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import NEG_INF
-from .params import INFINITE, OccupancyParams, check_triple
+from .params import INFINITE, OccupancyParams, check_tmax, check_triple
 
 __all__ = [
     "LogPmfBlock",
@@ -104,8 +104,7 @@ def log_pmf_block(m: int, theta: float, k: int, tmax: int) -> LogPmfBlock:
     params = OccupancyParams(m, k, theta)
     if params.is_infinite:
         raise DomainError("log_pmf_block requires finite m")
-    if not isinstance(tmax, int) or tmax < 0:
-        raise DomainError("tmax must satisfy tmax >= 0")
+    check_tmax(tmax)
     values = np.empty((tmax + 1, k))
     col = _geometric_log_column(params.theta, tmax)
     values[:, 0] = col
@@ -146,8 +145,7 @@ def _negbin_log_pmf(k: int, theta: float, t: int) -> float:
 
 def log_pmf_vector(params: OccupancyParams, tmax: int) -> np.ndarray:
     """Log-pmf over t = 0..tmax for one parameter triple."""
-    if not isinstance(tmax, int) or tmax < 0:
-        raise DomainError("tmax must satisfy tmax >= 0")
+    check_tmax(tmax)
     if params.is_infinite:
         return np.array(
             [_negbin_log_pmf(params.k, params.theta, t) for t in range(tmax + 1)]

@@ -20,7 +20,7 @@ from .errors import DomainError
 from .exact import pmf_vector
 from .moments import mean_variance
 from .numerics import NEG_INF, gamma_log_cdf_grid, log_diff_grid
-from .params import OccupancyParams
+from .params import OccupancyParams, check_tmax
 
 __all__ = [
     "GammaApproxParams",
@@ -70,9 +70,11 @@ def approx_log_pmf(params: OccupancyParams, tmax: int) -> np.ndarray:
     the point mass at t = 0, otherwise each entry is the log-CDF
     difference of the matched gamma law over [t, t+1).
     """
-    if not isinstance(tmax, int) or tmax < 0:
-        raise DomainError("tmax must satisfy tmax >= 0")
-    mean, variance = mean_variance(params)
+    return _moment_log_pmf(*mean_variance(params), check_tmax(tmax))
+
+
+def _moment_log_pmf(mean: float, variance: float, tmax: int) -> np.ndarray:
+    """:func:`approx_log_pmf` from the mean and variance it matches."""
     if variance == 0.0:
         out = np.full(tmax + 1, NEG_INF)
         out[0] = 0.0

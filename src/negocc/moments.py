@@ -28,7 +28,6 @@ __all__ = [
     "kurtosis",
     "moment_summary",
     "total_hitting_moments",
-    "classical_coupon_moments",
     "generating_function",
     "cgf_maclaurin",
     "asymptotic_cgf",
@@ -93,8 +92,8 @@ def _cumulants(params: OccupancyParams, order: int) -> tuple:
 
     kappa_r = sum_{i=1}^{r} (-1)**(r-i) * S(r, i) * (i-1)! * h_i  -  k*[r == 1].
 
-    kappa_1 and kappa_2 come out bit-identical to the direct two-sum of
-    :func:`mean_variance` (h_1 - k and -h_1 + h_2).
+    kappa_1 and kappa_2 come out bit-identical to the direct two-sum
+    h_1 - k and h_2 - h_1, which :func:`mean_variance` takes from here.
     """
     if not isinstance(order, int) or order < 1:
         raise DomainError("order must be a positive integer")
@@ -123,9 +122,8 @@ def cumulant_set(params: OccupancyParams, order: int) -> CumulantSet:
 
 def mean_variance(params: OccupancyParams) -> tuple:
     """(mean, variance) = (h_1 - k, h_2 - h_1); variance clamped at 0."""
-    h1 = _h(params, 1)
-    h2 = _h(params, 2)
-    return h1 - params.k, max(h2 - h1, 0.0)
+    mean, variance = _cumulants(params, 2)
+    return mean, max(variance, 0.0)
 
 
 def moment_summary(params: OccupancyParams) -> MomentSummary:
@@ -165,15 +163,6 @@ def total_hitting_moments(params: OccupancyParams) -> tuple:
     h1 = _h(params, 1)
     h2 = _h(params, 2)
     return h1, max(h2 - h1, 0.0)
-
-
-def classical_coupon_moments(m: int) -> tuple:
-    """Classical coupon-collector total-count moments,
-    (m*H_m, m^2*H_m^(2) - m*H_m); equals total_hitting_moments at
-    k = m, theta = 1."""
-    if m == INFINITE or not isinstance(m, int) or m < 1:
-        raise DomainError("m must be a finite positive integer")
-    return total_hitting_moments(OccupancyParams(m, m, 1.0))
 
 
 # -- generating functions ----------------------------------------------------

@@ -76,20 +76,40 @@ def log_diff_exp(l1: float, l2: float) -> float:
     return float(log_diff_grid(l1, l2))
 
 
-def harmonic_number(m: int, order: int = 1) -> float:
-    """Generalised harmonic number: sum of l**-order for l = 1..m.
+#: Terms summed per numpy call, so the scalar sum's memory does not grow with k.
+_SUM_CHUNK = 1 << 16
 
-    Terms are accumulated in ascending l for reproducibility; m = 0
-    returns the empty sum 0.
-    """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError("m must be a non-negative integer")
+
+def _power_sums(m, k: int, theta: float, order: int, keep: bool):
+    """Running sums of (m / (theta*l))**order from l = m down to m-k+1:
+    all k of them when ``keep``, else the last.  Each chunk's first term
+    carries the total so far, so the chunking changes no bit."""
     if not isinstance(order, int) or order < 1:
         raise DomainError("order must be a positive integer")
-    total = 0.0
-    for l in range(1, m + 1):
-        total += l ** -order
-    return total
+    theta = check_triple(m, k, theta)
+    out = np.empty(k) if keep else None
+    try:
+        if m == INFINITE:
+            step = theta ** -order
+            total = k * step
+            if keep:
+                np.multiply(np.arange(1, k + 1), step, out=out)
+        else:
+            total = 0.0
+            with np.errstate(over="ignore"):  # an infinite total is refused below
+                for start in range(0, k, _SUM_CHUNK):
+                    stop = min(start + _SUM_CHUNK, k)
+                    ls = np.arange(m - start, m - stop, -1, dtype=float)
+                    terms = (m / (theta * ls)) ** order
+                    terms[0] += total
+                    total = np.cumsum(terms, out=out[start:stop] if keep else terms)[-1]
+        if not math.isfinite(total):
+            raise OverflowError
+    except OverflowError:
+        raise DomainError(
+            f"theta is too small: (m / theta)**{order} overflows a double"
+        ) from None
+    return out if keep else float(total)
 
 
 def harmonic_power_sum(m, k: int, theta: float, order: int) -> float:
@@ -97,27 +117,20 @@ def harmonic_power_sum(m, k: int, theta: float, order: int) -> float:
 
     This is the cumulant building block of the distribution: the sum of
     ``order``-th powers of the inverse success probabilities of the k
-    geometric increments.  Summed term-wise over the window (ascending l)
-    rather than as a difference of harmonic numbers, which would cancel
-    catastrophically for small k and large m.  Infinite m returns the
-    limit ``k / theta**order``, approached from above: the sum is
+    geometric increments.  Summed term-wise, smallest first (from l = m
+    down), rather than as a difference of harmonic numbers, which would
+    cancel catastrophically for small k and large m.  Infinite m returns
+    the limit ``k / theta**order``, approached from above: the sum is
     decreasing in m (more bins make each occupancy step easier),
     increasing in k (more positive terms), and decreasing in theta.
     """
-    if not isinstance(order, int) or order < 1:
-        raise DomainError("order must be a positive integer")
-    theta = check_triple(m, k, theta)
-    try:
-        if m == INFINITE:
-            return k * theta ** -order
-        total = 0.0
-        for l in range(m - k + 1, m + 1):
-            total += (m / (theta * l)) ** order
-    except OverflowError:
-        raise DomainError(
-            f"theta is too small: (m / theta)**{order} overflows a double"
-        ) from None
-    return total
+    return _power_sums(m, k, theta, order, keep=False)
+
+
+def harmonic_power_sums(m, k: int, theta: float, order: int) -> np.ndarray:
+    """harmonic_power_sum(m, j, theta, order) for j = 1..k, bit for bit:
+    the windows are the prefixes of one running sum."""
+    return _power_sums(m, k, theta, order, keep=True)
 
 
 def log_falling_factorial(m: int, k: int) -> float:

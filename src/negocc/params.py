@@ -39,6 +39,15 @@ def check_triple(m, k, theta) -> float:
     return theta
 
 
+def check_tmax(tmax) -> int:
+    """Validate a largest argument tmax: an integer in [0, 2**59)."""
+    if not isinstance(tmax, int) or tmax < 0:
+        raise DomainError("tmax must satisfy tmax >= 0")
+    if tmax >= 2**59:  # 2**62 bytes of doubles: past what numpy can allocate
+        raise DomainError(f"tmax must satisfy tmax < 2**59, got {tmax:.6g}")
+    return tmax
+
+
 @dataclass(frozen=True)
 class OccupancyParams:
     """Parameters (m, k, theta) of a negative occupancy distribution.

@@ -21,7 +21,7 @@ from .numerics import (
     _stirling2_noncentral_mp,
     mp_lock,
 )
-from .params import INFINITE, OccupancyParams, check_triple
+from .params import INFINITE, OccupancyParams, check_tmax, check_triple
 
 __all__ = [
     "WeightVector",
@@ -132,8 +132,7 @@ def convolution_pmf(params: OccupancyParams, tmax: int) -> np.ndarray:
     """
     if params.is_infinite:
         raise DomainError("the convolution oracle requires finite m")
-    if not isinstance(tmax, int) or tmax < 0:
-        raise DomainError("tmax must satisfy tmax >= 0")
+    check_tmax(tmax)
     m, k, theta = int(params.m), params.k, params.theta
     out = _geometric_pmf_vector(theta, tmax)
     for l in range(2, k + 1):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import OccupancyParams
+from .params import OccupancyParams, check_tmax
 
 __all__ = ["SampleConfig", "sample_geometric", "sample_negocc", "empirical_pmf"]
 
@@ -119,8 +119,7 @@ def empirical_pmf(draws, tmax: int):
     draws = np.asarray(draws, dtype=np.int64)
     if draws.size == 0:
         raise DomainError("draws must be non-empty")
-    if not isinstance(tmax, int) or tmax < 0:
-        raise DomainError("tmax must satisfy tmax >= 0")
+    check_tmax(tmax)
     counts = np.bincount(np.minimum(draws, tmax + 1), minlength=tmax + 2)
     freqs = counts[: tmax + 1] / draws.size
     overflow = counts[tmax + 1] / draws.size

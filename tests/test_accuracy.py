@@ -110,12 +110,46 @@ class TestRseBlock:
         assert len(rse_block(3, 1.0, budget=math.inf)) == 6
 
     def test_work_estimate_is_sum_of_squares(self):
-        expected = sum(
-            truncation_point(OccupancyParams(m, k, 0.7)) ** 2
-            for m in range(1, 5)
-            for k in range(1, m + 1)
-        )
-        assert estimate_block_work(4, 0.7) == expected
+        for M in (4, 60):
+            for theta in (0.7, 1.0, 0.05):
+                expected = sum(
+                    truncation_point(OccupancyParams(m, k, theta)) ** 2
+                    for m in range(1, M + 1)
+                    for k in range(1, m + 1)
+                )
+                assert estimate_block_work(M, theta) == expected
+
+    def test_work_estimate_holds_one_table_at_a_time(self):
+        # M = 1000 has 500,500 cells; every table at once would be megabytes
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkBudgetError):
+                rse_block(1000, 1.0, budget=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_cells_read_the_moment_table(self, monkeypatch):
+        # one table per m serves every cell: no per-cell moments, truncation
+        # or parameter object; only the exact block of each m builds one
+        import negocc.accuracy
+
+        expected = rse_block(9, 0.6)
+
+        def per_cell(*args):
+            raise AssertionError("rse_block computed a cell's moments on its own")
+
+        for name in ("truncation_point", "mean_variance"):
+            monkeypatch.setattr(negocc.accuracy, name, per_cell)
+        built = []
+        check = OccupancyParams.__post_init__
+        monkeypatch.setattr(OccupancyParams, "__post_init__",
+                            lambda self: built.append(check(self)))
+        assert rse_block(9, 0.6) == expected
+        assert len(built) == 9
 
 
 class TestRseSummaries:

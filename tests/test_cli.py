@@ -299,6 +299,18 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("negocc: error: theta ")
 
+    @pytest.mark.parametrize("argv", [
+        ["pmf", "--m", "5", "--k", "2", "--theta", "1e-150"],
+        ["cdf", "--m", "5", "--k", "2", "--theta", "1e-100"],
+        ["pmf", "--m", "5", "--k", "2", "--theta", "0.5", "--tmax", str(2**62)],
+    ], ids=["pmf-default-tmax", "cdf-default-tmax", "pmf-tmax-2**62"])
+    def test_huge_tmax_names_tmax(self, capsys, argv):
+        # the default tmax, the truncation point, grows like 1/theta
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("negocc: error: tmax must satisfy tmax < 2**59")
+
     def test_sample_rejects_conditioning_at_infinite_m(self, capsys):
         message = "conditioning (--r > 0) requires finite m"
         for command, extra in (("sample", ["--n", "5"]), ("pmf", [])):
@@ -358,6 +370,23 @@ class TestRseBlockCommand:
         doc = json.loads(out)
         assert doc["params"] == {"M": 3, "theta": 0.6}
         assert len(doc["values"]) == 6
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        from negocc import cli
+
+        query = ("pmf", "--m", "9", "--k", "4", "--theta", "0.7", "--tmax", "5")
+        first = run(capsys, *query)
+        built = cli._build_parser.cache_info().misses
+        helped = run(capsys, "--help")
+        assert run(capsys, *query) == first
+        assert run(capsys, "pmf", "--m", "9", "--bogus")[0] == 2
+        assert run(capsys, *query) == first
+        assert run(capsys, "--help") == helped and helped[0] == 0
+        assert run(capsys, "pmf", "--help")[0] == 0
+        assert run(capsys, *query) == first and first[0] == 0
+        assert cli._build_parser.cache_info().misses == built == 1
 
 
 class TestConsoleScript:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from negocc import (
     asymptotic_cgf,
     asymptotic_moments,
     cgf_maclaurin,
-    classical_coupon_moments,
     cumulant,
     cumulant_set,
     generating_function,
@@ -175,14 +175,18 @@ class TestTotalHittingMoments:
         )
 
     def test_classical_coupon_values(self):
-        assert classical_coupon_moments(1) == pytest.approx((1.0, 0.0))
-        assert classical_coupon_moments(2) == pytest.approx((3.0, 2.0))
-        assert classical_coupon_moments(3) == pytest.approx((5.5, 6.75))
+        # the classical collector is the diagonal k = m at theta = 1
+        for m, expected in [(1, (1.0, 0.0)), (2, (3.0, 2.0)), (3, (5.5, 6.75))]:
+            got = total_hitting_moments(OccupancyParams(m, m, 1.0))
+            assert got == pytest.approx(expected)
 
     def test_classical_is_diagonal_theta_one(self):
-        assert classical_coupon_moments(7) == total_hitting_moments(
-            OccupancyParams(7, 7, 1.0)
-        )
+        # (m*H_m, m^2*H_m^(2) - m*H_m), with H_m^(r) in exact arithmetic
+        m = 7
+        h1, h2 = (sum(Fraction(1, l) ** r for l in range(1, m + 1)) for r in (1, 2))
+        expected = (float(m * h1), float(m * m * h2 - m * h1))
+        got = total_hitting_moments(OccupancyParams(m, m, 1.0))
+        assert got == pytest.approx(expected, rel=1e-15)
 
 
 class TestGeneratingFunctions:

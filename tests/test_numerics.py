@@ -13,8 +13,8 @@ from negocc import (
     OracleRangeError,
     gamma_log_cdf,
     gamma_log_cdf_grid,
-    harmonic_number,
     harmonic_power_sum,
+    harmonic_power_sums,
     log_diff_exp,
     log_falling_factorial,
     log_sum_exp,
@@ -98,25 +98,50 @@ class TestLogDiffExp:
 
 
 class TestHarmonicNumbers:
-    def test_small_values(self):
-        assert harmonic_number(3, 1) == pytest.approx(11.0 / 6.0, rel=1e-15)
-        assert harmonic_number(3, 2) == pytest.approx(49.0 / 36.0, rel=1e-15)
+    """H_m^(r), the generalised harmonic number, is
+    harmonic_power_sum(m, m, 1.0, r) / m**r."""
 
-    def test_empty_sum(self):
-        assert harmonic_number(0, 1) == 0.0
-        assert harmonic_number(0, 7) == 0.0
+    def test_small_values(self):
+        assert harmonic_power_sum(3, 3, 1.0, 1) == pytest.approx(
+            3 * 11.0 / 6.0, rel=1e-15
+        )
+        assert harmonic_power_sum(3, 3, 1.0, 2) == pytest.approx(
+            9 * 49.0 / 36.0, rel=1e-15
+        )
 
     def test_monotone_in_m_and_order(self):
+        def h(m, r):
+            return harmonic_power_sum(m, m, 1.0, r) / m**r
+
         for m in range(2, 30):
-            assert harmonic_number(m, 1) > harmonic_number(m - 1, 1)
+            assert h(m, 1) > h(m - 1, 1)
             for r in range(1, 4):
-                assert harmonic_number(m, r) > harmonic_number(m, r + 1)
+                assert h(m, r) > h(m, r + 1)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            harmonic_number(-1, 1)
+            harmonic_power_sum(-1, 1, 1.0, 1)
         with pytest.raises(DomainError):
-            harmonic_number(3, 0)
+            harmonic_power_sum(3, 3, 1.0, 0)
+
+
+def _exact_window_sum(m, k, theta, order):
+    """The window sum in exact rational arithmetic, rounded once."""
+    ratio = Fraction(m) / Fraction(theta)
+    return float(sum((ratio / l) ** order for l in range(m - k + 1, m + 1)))
+
+
+def _mp_window_sum(m, k, theta, order):
+    """The window sum at 40 digits, through digamma / Hurwitz zeta."""
+    from mpmath import mp, mpf, psi, zeta
+
+    with mp.workdps(40):
+        a = m - k + 1
+        if order == 1:
+            inverse_powers = psi(0, m + 1) - psi(0, a)
+        else:
+            inverse_powers = zeta(order, a) - zeta(order, m + 1)
+        return (mpf(m) / mpf(theta)) ** order * inverse_powers
 
 
 class TestHarmonicPowerSum:
@@ -131,11 +156,23 @@ class TestHarmonicPowerSum:
 
     def test_matches_harmonic_difference(self):
         for (m, k, theta, order) in [(10, 4, 0.6, 1), (25, 25, 1.0, 2), (7, 3, 0.3, 3)]:
-            ref = (m / theta) ** order * (
-                harmonic_number(m, order) - harmonic_number(m - k, order)
-            )
+            ref = _exact_window_sum(m, k, theta, order)
             got = harmonic_power_sum(m, k, theta, order)
             np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("m, k, theta, order", [
+        (10**6, 10**6, 1.0, 3),
+        (10**6, 10**6, 1.0, 1),
+        (10**6, 10**6, 0.05, 4),
+        (10**6, 7, 0.7, 2),
+        (10**5, 3000, 0.05, 1),
+        (200, 200, 0.7, 4),
+        (200, 1, 1.0, 2),
+    ])
+    def test_matches_mpmath(self, m, k, theta, order):
+        ref = _mp_window_sum(m, k, theta, order)
+        got = harmonic_power_sum(m, k, theta, order)
+        assert abs(got - ref) <= 1e-14 * ref
 
     def test_monotone_in_parameters(self):
         # decreasing in m toward the k/theta**order limit, increasing in
@@ -165,6 +202,56 @@ class TestHarmonicPowerSum:
         for m in (5, math.inf):
             with pytest.raises(DomainError, match="theta"):
                 harmonic_power_sum(m, 2, 1e-300, 2)
+            with pytest.raises(DomainError, match="theta"):
+                harmonic_power_sums(m, 2, 1e-300, 2)
+
+    def test_memory_does_not_grow_with_k(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            harmonic_power_sum(10**7, 10**7, 1.0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # the k = 10**7 terms alone would be 80 MB
+
+
+class TestHarmonicPowerSums:
+    """Entry j-1 is harmonic_power_sum(m, j, ...) for every window size j."""
+
+    @pytest.mark.parametrize("m, k", [(200, 200), (10**5, 3000)])
+    @pytest.mark.parametrize("theta", [1.0, 0.7, 0.05])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_prefixes_are_the_scalar_sums(self, m, k, theta, order):
+        sums = harmonic_power_sums(m, k, theta, order)
+        assert sums.shape == (k,)
+        scalars = [harmonic_power_sum(m, j, theta, order) for j in range(1, k + 1)]
+        assert sums.tolist() == scalars
+
+    @pytest.mark.parametrize("m, k", [(200, 200), (10**5, 3000)])
+    @pytest.mark.parametrize("theta", [1.0, 0.7, 0.05])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_chunking_changes_no_bit(self, monkeypatch, m, k, theta, order):
+        import negocc.numerics
+
+        whole = harmonic_power_sums(m, k, theta, order)
+        monkeypatch.setattr(negocc.numerics, "_SUM_CHUNK", 7)
+        assert harmonic_power_sums(m, k, theta, order).tolist() == whole.tolist()
+        for j in (1, 6, 7, 8, 14, 15, 100, k - 1, k):
+            assert harmonic_power_sum(m, j, theta, order) == whole[j - 1]
+
+    def test_infinite_m(self):
+        sums = harmonic_power_sums(math.inf, 4, 0.5, 2)
+        assert sums.tolist() == [
+            harmonic_power_sum(math.inf, j, 0.5, 2) for j in (1, 2, 3, 4)
+        ]
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            harmonic_power_sums(3, 4, 1.0, 1)
+        with pytest.raises(DomainError):
+            harmonic_power_sums(3, 2, 1.0, 0)
 
 
 class TestLogFallingFactorial:

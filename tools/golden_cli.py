@@ -112,6 +112,7 @@ CASES.update({
     "err-tmax-negative-cdf": ["cdf", *_SMALL, "--tmax", "-1"],
     "err-tmax-negative-approx": ["approx", *_SMALL, "--tmax", "-1"],
     "err-tmax-negative-block": ["pmf", *_SMALL, "--tmax", "-1", "--block"],
+    "err-tmax-huge": ["pmf", *_SMALL, "--tmax", str(2**62)],
     "err-block-gamma": ["pmf", *_SMALL, "--block", "--method", "gamma"],
     "err-block-inf": ["pmf", *_INF, "--block"],
     "err-p-one": ["quantile", *_SMALL, "--p", "1"],
