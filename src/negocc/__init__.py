@@ -34,14 +34,7 @@ from .exact import (
     pmf_vector,
     quantile,
 )
-from .gamma_approx import (
-    DEFAULT_SWITCH_THRESHOLD,
-    GammaApproxParams,
-    approx_log_pmf,
-    approx_params,
-    approx_pmf,
-    auto_method_pmf,
-)
+from .gamma_approx import GammaApproxParams, approx_log_pmf, approx_params, approx_pmf
 from .moments import (
     AsymptoticMoments,
     CumulantSet,

@@ -9,6 +9,7 @@ columns anyway, so the block study reuses what a single-k computation
 would waste.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,15 +86,21 @@ def _moment_table(m: int, theta: float) -> tuple:
     return mean, variance, _truncation(mean, variance)
 
 
-def estimate_block_work(M: int, theta: float) -> float:
-    """Work units for rse_block(M, theta): sum over m, k of T(m, k)^2."""
+def _block_work(M: int, theta: float):
+    """Work units of each m = 1..M in turn: sum over k of T(m, k)^2.
+
+    Lazy, one table at a time: O(M) memory for any M, and a consumer that
+    stops early builds no table past the m where it stopped.
+    """
     if not isinstance(M, int) or M < 1:
         raise DomainError("M must be a positive integer")
-    work = 0.0
-    for m in range(1, M + 1):  # one table at a time: O(M) memory for any M
-        cut = _moment_table(m, theta)[2]
-        work += float(np.dot(cut, cut))
-    return work
+    cuts = (_moment_table(m, theta)[2] for m in range(1, M + 1))
+    return (float(np.dot(cut, cut)) for cut in cuts)
+
+
+def estimate_block_work(M: int, theta: float) -> float:
+    """Work units for rse_block(M, theta): sum over m, k of T(m, k)^2."""
+    return sum(_block_work(M, theta), 0.0)
 
 
 def rse_block(
@@ -107,17 +114,18 @@ def rse_block(
     Each m costs one exact block up to max_k T(m, k) plus one gamma
     approximation per k, both read from one moment table per m.  Requests
     whose estimated work exceeds ``budget`` (a non-negative number;
-    ``inf`` disables the check) are refused up front with the estimate
-    attached.  When ``sink`` is given it receives the list of reports for
-    each m as soon as that m completes, so partial progress survives
-    interruption of large blocks; reports are emitted in (m, k) order
-    either way.
+    ``inf`` disables the check) are refused up front; the count stops at
+    the first m that passes the budget, so the error carries the work
+    counted so far, a lower bound on the estimate.  When ``sink`` is given
+    it receives the list of reports for each m as soon as that m
+    completes, so partial progress survives interruption of large blocks;
+    reports are emitted in (m, k) order either way.
     """
     if not budget >= 0.0:  # NaN fails the comparison too
         raise DomainError("budget must satisfy budget >= 0")
-    estimated = estimate_block_work(M, theta)
-    if estimated > budget:
-        raise WorkBudgetError(estimated, budget)
+    for counted in itertools.accumulate(_block_work(M, theta)):
+        if counted > budget:
+            raise WorkBudgetError(counted, budget)
 
     reports: list = []
     for m in range(1, M + 1):

@@ -30,7 +30,8 @@ class WorkBudgetError(RuntimeError):
     Attributes
     ----------
     estimated : float
-        Estimated work units for the request.
+        Work units counted for the request before the count passed the
+        budget; the full estimate is at least this.
     budget : float
         The configured budget it exceeded.
     """
@@ -39,6 +40,6 @@ class WorkBudgetError(RuntimeError):
         self.estimated = estimated
         self.budget = budget
         super().__init__(
-            f"estimated work {estimated:.3e} units exceeds budget {budget:.3e}; "
-            "raise the budget to proceed"
+            f"estimated work of at least {estimated:.3e} units exceeds budget "
+            f"{budget:.3e}; raise the budget to proceed"
         )

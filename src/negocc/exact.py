@@ -93,6 +93,17 @@ def _next_log_column(col: np.ndarray, m: int, theta: float, r: int) -> np.ndarra
     return np.minimum(out, 0.0)  # rounding guard: log-probabilities
 
 
+def _log_columns(m: int, theta: float, k: int, tmax: int):
+    """Columns r = 1..k of the recursion, in turn; each one is built from
+    the one before, so a consumer that keeps only the last never holds
+    more than two."""
+    col = _geometric_log_column(theta, tmax)
+    yield col
+    for r in range(1, k):
+        col = _next_log_column(col, m, theta, r)
+        yield col
+
+
 def log_pmf_block(m: int, theta: float, k: int, tmax: int) -> LogPmfBlock:
     """Full (tmax+1) x k block of log-probabilities.
 
@@ -106,20 +117,9 @@ def log_pmf_block(m: int, theta: float, k: int, tmax: int) -> LogPmfBlock:
         raise DomainError("log_pmf_block requires finite m")
     check_tmax(tmax)
     values = np.empty((tmax + 1, k))
-    col = _geometric_log_column(params.theta, tmax)
-    values[:, 0] = col
-    for r in range(1, k):
-        col = _next_log_column(col, m, params.theta, r)
+    for r, col in enumerate(_log_columns(m, params.theta, k, tmax)):
         values[:, r] = col
     return LogPmfBlock(m=m, theta=params.theta, tmax=tmax, values=values)
-
-
-def _log_pmf_final_column(m: int, theta: float, k: int, tmax: int) -> np.ndarray:
-    # low-memory mode: single-k queries never materialise the block
-    col = _geometric_log_column(theta, tmax)
-    for r in range(1, k):
-        col = _next_log_column(col, m, theta, r)
-    return col
 
 
 def negbin_log_pmf(k: int, theta: float, t: int) -> float:
@@ -128,40 +128,41 @@ def negbin_log_pmf(k: int, theta: float, t: int) -> float:
     theta = check_triple(INFINITE, k, theta)
     if not isinstance(t, int) or t < 0:
         raise DomainError("t must satisfy t >= 0")
-    return _negbin_log_pmf(k, theta, t)
+    return float(_negbin_log_pmf(k, theta, np.float64(t)))
 
 
-def _negbin_log_pmf(k: int, theta: float, t: int) -> float:
+def _negbin_log_pmf(k: int, theta: float, ts):
+    """log C(k+t-1, t) + k*log(theta) + t*log(1-theta) at each t in ts.
+
+    The binomial coefficient is a difference of ``gammaln`` values, which
+    keeps it closer to extended precision than ``-log(k+t) - betaln(k,
+    t+1)`` for t up to 1e6 (and exact at k = 1).
+    """
     if theta == 1.0:
-        return 0.0 if t == 0 else NEG_INF
-    return (
-        math.lgamma(k + t)
-        - math.lgamma(t + 1)
-        - math.lgamma(k)
-        + k * math.log(theta)
-        + t * math.log1p(-theta)
-    )
+        return np.where(ts == 0, 0.0, NEG_INF)
+    # imported here: at module level scipy.special doubles the CLI's start-up
+    from scipy.special import gammaln
+
+    return (gammaln(k + ts) - gammaln(ts + 1.0) - gammaln(k)
+            + k * math.log(theta) + ts * math.log1p(-theta))
 
 
 def log_pmf_vector(params: OccupancyParams, tmax: int) -> np.ndarray:
     """Log-pmf over t = 0..tmax for one parameter triple."""
     check_tmax(tmax)
     if params.is_infinite:
-        return np.array(
-            [_negbin_log_pmf(params.k, params.theta, t) for t in range(tmax + 1)]
-        )
-    return _log_pmf_final_column(int(params.m), params.theta, params.k, tmax)
+        return _negbin_log_pmf(params.k, params.theta, np.arange(tmax + 1, dtype=float))
+    for col in _log_columns(int(params.m), params.theta, params.k, tmax):
+        pass  # only the last column, r = k, is wanted
+    return col
 
 
-def pmf_vector(params: OccupancyParams, tmax: int, log_output: bool = False) -> np.ndarray:
-    """Pmf (or log-pmf) over t = 0..tmax."""
-    logs = log_pmf_vector(params, tmax)
-    return logs if log_output else np.exp(logs)
+def pmf_vector(params: OccupancyParams, tmax: int) -> np.ndarray:
+    """Pmf over t = 0..tmax: the exponential of :func:`log_pmf_vector`."""
+    return np.exp(log_pmf_vector(params, tmax))
 
 
-def coupon_collector_pmf_vector(
-    m: int, theta: float, tmax: int, log_output: bool = False
-) -> np.ndarray:
+def coupon_collector_pmf_vector(m: int, theta: float, tmax: int) -> np.ndarray:
     """Pmf of the coupon-collector distribution, the k = m case.
 
     Infinite m is rejected: with unboundedly many bins a full collection
@@ -169,7 +170,7 @@ def coupon_collector_pmf_vector(
     """
     if m == INFINITE:
         raise DomainError("the coupon-collector distribution requires finite m")
-    return pmf_vector(OccupancyParams(m, m, theta), tmax, log_output=log_output)
+    return pmf_vector(OccupancyParams(m, m, theta), tmax)
 
 
 def cdf_vector(params: OccupancyParams, tmax: int) -> np.ndarray:

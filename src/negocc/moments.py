@@ -13,8 +13,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateMomentsError, DomainError, SingularityError
-from .numerics import harmonic_power_sum, stirling2
+from .numerics import _SUM_CHUNK, harmonic_power_sum, stirling2
 from .params import INFINITE, OccupancyParams, check_triple
 
 __all__ = [
@@ -192,14 +194,15 @@ def _log_factors(params: OccupancyParams, arg) -> complex | float:
 
     ``arg`` is z for the PGF, exp(s) for the MGF/CGF and exp(i*s) for the
     CF.  Inside the domain of convergence every real denominator is
-    strictly positive.
+    strictly positive.  Summed by numpy ``_SUM_CHUNK`` terms at a time, so
+    memory does not grow with k.
     """
     m, k, theta = params.m, params.k, params.theta
-    log = cmath.log if isinstance(arg, complex) else math.log
-    total = log(1.0)
-    for l in range(m - k + 1, m + 1):
-        total += log(l / (m - (m - l * theta) * arg))
-    return total
+    total = 0.0
+    for start in range(m - k + 1, m + 1, _SUM_CHUNK):
+        ls = np.arange(start, min(start + _SUM_CHUNK, m + 1), dtype=float)
+        total += np.log(ls / (m - (m - ls * theta) * arg)).sum()
+    return total.item()
 
 
 def generating_function(params: OccupancyParams, kind: str, arg: float):

@@ -97,11 +97,30 @@ class TestRseBlock:
         assert flattened == reports
 
     def test_budget_refusal(self):
+        # the count stops where it passes the budget: a lower bound
         estimate = estimate_block_work(12, 1.0)
-        with pytest.raises(WorkBudgetError) as err:
+        with pytest.raises(WorkBudgetError, match="at least") as err:
             rse_block(12, 1.0, budget=estimate / 2.0)
-        assert err.value.estimated == pytest.approx(estimate)
-        assert err.value.budget == pytest.approx(estimate / 2.0)
+        assert err.value.budget == estimate / 2.0
+        assert err.value.budget < err.value.estimated <= estimate
+
+    def test_huge_refusal_stops_counting_at_the_budget(self, monkeypatch):
+        # at the default budget the running total passes 1e12 at m = 1241,
+        # so refusing M = 1e6 builds no table past it
+        import negocc.accuracy
+
+        built = []
+        table = negocc.accuracy._moment_table
+
+        def counted(m, theta):
+            assert m <= 1241, "the refusal counted past the budget"
+            built.append(m)
+            return table(m, theta)
+
+        monkeypatch.setattr(negocc.accuracy, "_moment_table", counted)
+        with pytest.raises(WorkBudgetError):
+            rse_block(10**6, 1.0)
+        assert built == list(range(1, 1242))
 
     def test_budget_must_be_non_negative(self):
         for budget in (float("nan"), -1.0):

@@ -92,17 +92,9 @@ class TestPmfCommand:
         _, gamma_out, _ = run(capsys, *base, "--method", "gamma")
         code, auto_out, _ = run(capsys, *base, "--method", "auto")
         assert code == 0
-        assert auto_out == gamma_out  # m = 2000 exceeds the default threshold
+        assert auto_out == gamma_out  # auto takes gamma above m = 1000
         _, exact_out, _ = run(capsys, *base, "--method", "exact")
         assert exact_out != gamma_out
-
-    def test_auto_threshold_flag(self, capsys):
-        base = ["pmf", "--m", "50", "--k", "5", "--theta", "0.5", "--tmax", "5",
-                "--format", "json"]
-        _, out, _ = run(capsys, *base, "--method", "auto", "--threshold", "10")
-        assert json.loads(out)["method"] == "gamma"
-        _, out, _ = run(capsys, *base, "--method", "auto", "--threshold", "50")
-        assert json.loads(out)["method"] == "exact"
 
     def test_block_output(self, capsys):
         code, out, _ = run(
@@ -204,6 +196,45 @@ class TestPmfCommand:
         )
         assert code == 0 and out == ""
         assert target.read_text().startswith("t,value\n")
+
+
+class TestAutoMethod:
+    """``pmf --method auto``: exact for finite m <= 1000, gamma otherwise."""
+
+    @staticmethod
+    def routes(capsys, m, *extra):
+        base = ["pmf", "--m", m, "--k", "3", "--theta", "0.6", "--tmax", "10", *extra]
+        code, auto, err = run(capsys, *base, "--method", "auto")
+        assert code == 0 and err == ""
+        outs = {method: run(capsys, *base, "--method", method)[1]
+                for method in ("exact", "gamma")}
+        assert outs["exact"] != outs["gamma"]
+        return [method for method, out in outs.items() if out == auto]
+
+    def test_below_threshold_exact(self, capsys):
+        assert self.routes(capsys, "30") == ["exact"]
+
+    def test_above_threshold_gamma(self, capsys):
+        assert self.routes(capsys, "5000") == ["gamma"]
+        _, out, _ = run(capsys, "pmf", "--m", "5000", "--k", "3", "--theta", "0.6",
+                        "--tmax", "10", "--method", "auto", "--format", "json")
+        assert json.loads(out)["method"] == "gamma"
+
+    def test_boundary_is_exact(self, capsys):
+        assert self.routes(capsys, "1000", "--format", "json") == ["exact"]
+
+    def test_infinite_space_uses_gamma(self, capsys):
+        assert self.routes(capsys, "inf", "--format", "json") == ["gamma"]
+
+    def test_log_flag(self, capsys):
+        for m in ("20", "5000"):
+            base = ["pmf", "--m", m, "--k", "4", "--theta", "0.5", "--tmax", "8",
+                    "--method", "auto", "--format", "json"]
+            plain = json.loads(run(capsys, *base)[1])["values"]
+            logged = json.loads(run(capsys, *base, "--log")[1])["values"]
+            np.testing.assert_array_equal(
+                np.exp([v for _, v in logged]), [v for _, v in plain]
+            )
 
 
 class TestOtherCommands:
@@ -321,12 +352,6 @@ class TestOtherCommands:
             assert code == 2 and out == ""
             assert err == f"negocc: error: {message}\n"
 
-    def test_approx_matches_pmf_gamma(self, capsys):
-        base = ["--m", "30", "--k", "14", "--theta", "0.6", "--tmax", "6"]
-        _, via_approx, _ = run(capsys, "approx", *base)
-        _, via_pmf, _ = run(capsys, "pmf", *base, "--method", "gamma")
-        assert via_approx == via_pmf
-
 
 class TestRseBlockCommand:
     def test_csv_table(self, capsys):
@@ -387,6 +412,16 @@ class TestParser:
         assert run(capsys, "pmf", "--help")[0] == 0
         assert run(capsys, *query) == first and first[0] == 0
         assert cli._build_parser.cache_info().misses == built == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--m", "9", "--k", "4", "--theta", "0.7"],
+        ["pmf", "--m", "9", "--k", "4", "--theta", "0.7", "--method", "auto",
+         "--threshold", "10"],
+    ], ids=["approx", "threshold"])
+    def test_removed_surface_is_a_parse_error(self, capsys, argv):
+        # approx was pmf --method gamma; auto's switch point is fixed
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
 
 
 class TestConsoleScript:

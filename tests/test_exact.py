@@ -150,8 +150,8 @@ class TestPmfVector:
 
     def test_log_flag_roundtrip(self):
         params = OccupancyParams(8, 4, 0.6)
-        logs = pmf_vector(params, 20, log_output=True)
-        np.testing.assert_allclose(np.exp(logs), pmf_vector(params, 20), rtol=1e-15)
+        logs = log_pmf_vector(params, 20)
+        np.testing.assert_array_equal(np.exp(logs), pmf_vector(params, 20))
 
     def test_negbin_limit_monotone(self):
         # sup-norm gap to the negative binomial shrinks as m grows
@@ -173,10 +173,30 @@ class TestNegbinLogPmf:
     def test_certain_success(self):
         assert negbin_log_pmf(4, 1.0, 0) == 0.0
         assert negbin_log_pmf(4, 1.0, 3) == NEG_INF
+        logs = log_pmf_vector(OccupancyParams(INFINITE, 4, 1.0), 5)
+        np.testing.assert_array_equal(logs, [0.0] + [NEG_INF] * 5)  # never NaN
 
     def test_normalises(self):
         logs = [negbin_log_pmf(4, 0.35, t) for t in range(400)]
         assert math.fsum(math.exp(v) for v in logs) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 1000, 10**6])
+    @pytest.mark.parametrize("theta", [0.6, 1e-6, 0.999])
+    def test_matches_extended_precision(self, k, theta):
+        # t up to 1e6 against 40-digit mpmath: within a few ulps of the
+        # largest term, and the scalar agrees with the vector bit for bit
+        from mpmath import mp, mpf
+
+        ts = sorted({*range(30), *np.geomspace(30, 10**6, 25).astype(int).tolist()})
+        logs = log_pmf_vector(OccupancyParams(INFINITE, k, theta), 10**6)
+        with mp.workdps(40):
+            for t in ts:
+                ref = (mp.loggamma(k + t) - mp.loggamma(t + 1) - mp.loggamma(k)
+                       + k * mp.log(theta) + t * mp.log1p(-mpf(theta)))
+                scale = (1.0 + math.lgamma(k + t) - k * math.log(theta)
+                         - t * math.log1p(-theta))
+                assert abs(mpf(float(logs[t])) - ref) <= 8 * 2.0**-52 * scale
+                assert negbin_log_pmf(k, theta, t) == logs[t]
 
 
 class TestCdf:

@@ -12,7 +12,6 @@ from negocc import (
     approx_log_pmf,
     approx_params,
     approx_pmf,
-    auto_method_pmf,
     gamma_log_cdf,
     mean_variance,
     pmf_vector,
@@ -108,29 +107,3 @@ class TestApproxLogPmf:
         ts = np.arange(81)
         assert float(probs @ ts) == pytest.approx(mean, abs=0.1)
 
-
-class TestAutoMethod:
-    def test_below_threshold_exact(self):
-        values, method = auto_method_pmf(OccupancyParams(30, 3, 0.6), 10, 1000)
-        assert method == "exact"
-        np.testing.assert_array_equal(values, pmf_vector(OccupancyParams(30, 3, 0.6), 10))
-
-    def test_above_threshold_gamma(self):
-        values, method = auto_method_pmf(OccupancyParams(5000, 3, 0.6), 10, 1000)
-        assert method == "gamma"
-        np.testing.assert_allclose(
-            values, approx_pmf(OccupancyParams(5000, 3, 0.6), 10), rtol=1e-15
-        )
-
-    def test_boundary_is_exact(self):
-        _, method = auto_method_pmf(OccupancyParams(1000, 2, 0.6), 5, 1000)
-        assert method == "exact"
-
-    def test_infinite_space_uses_gamma(self):
-        _, method = auto_method_pmf(OccupancyParams(INFINITE, 2, 0.6), 5, 1000)
-        assert method == "gamma"
-
-    def test_log_flag(self):
-        logs, _ = auto_method_pmf(OccupancyParams(20, 4, 0.5), 8, 1000, log_output=True)
-        values, _ = auto_method_pmf(OccupancyParams(20, 4, 0.5), 8, 1000)
-        np.testing.assert_allclose(np.exp(logs), values, rtol=1e-15)

@@ -249,6 +249,24 @@ class TestGeneratingFunctions:
         got = generating_function(inf_params, "cf", -7.5)
         assert got == pytest.approx((0.4 / (1 - 0.6 * cmath.exp(-7.5j))) ** 3, rel=1e-14)
 
+    def test_log_sum_spans_several_chunks(self):
+        # k = 150,000 terms: three numpy chunks, against a compensated
+        # sum of the same logs and the cgf/cf products they form
+        m, k, theta = 200_000, 150_000, 0.7
+        params = OccupancyParams(m, k, theta)
+        for kind, s in (("cgf", -0.3), ("cgf", 0.1), ("cf", 0.4)):
+            arg = cmath.exp(1j * s) if kind == "cf" else math.exp(s)
+            log = cmath.log if kind == "cf" else math.log
+            terms = [log(l / (m - (m - l * theta) * arg))
+                     for l in range(m - k + 1, m + 1)]
+            ref = k * math.log(theta) + math.fsum(t.real for t in terms)
+            got = generating_function(params, kind, s)
+            if kind == "cf":
+                imag = math.fsum(t.imag for t in terms)
+                assert cmath.isclose(got, cmath.exp(complex(ref, imag)), rel_tol=1e-12)
+            else:
+                assert got == pytest.approx(ref, rel=1e-13)
+
     def test_domain_error_names_bound(self):
         params = OccupancyParams(3, 2, 1.0)  # pgf bound m/(m-(m-k+1)theta) = 3
         with pytest.raises(DomainError, match="bound"):

@@ -14,8 +14,8 @@ unchanged, byte for byte.
 
 The cases cover every subcommand in CSV and JSON, ``--log``, ``--block``,
 ``--r``, ``m = inf``, ``--method gamma``/``auto`` (also at a gamma shape
-above 600), ``approx``, rse-block ``--summaries``, a CSV table longer than
-one write chunk, and the domain, parse and refusal errors.
+above 600), rse-block ``--summaries``, a CSV table longer than one write
+chunk, and the domain, parse and refusal errors.
 """
 
 import argparse
@@ -36,7 +36,6 @@ _BASE = {
     "sample": ["sample", *_TRIPLE, "--n", "200", "--seed", "7"],
     "moments": ["moments", *_TRIPLE],
     "gfun": ["gfun", *_SMALL, "--kind", "pgf", "--arg", "0.8"],
-    "approx": ["approx", *_TRIPLE],
     "rse-block": ["rse-block", "--m", "6", "--theta", "0.8"],
 }
 
@@ -62,7 +61,8 @@ CASES.update({
     "sample-r": ["sample", *_SMALL, "--r", "3", "--n", "50", "--seed", "3"],
     "moments-r-json": ["moments", *_TRIPLE, "--r", "10", *_JSON],
     "gfun-r": ["gfun", *_SMALL, "--r", "2", "--kind", "cgf", "--arg", "0.1"],
-    "approx-r": ["approx", *_TRIPLE, "--r", "10", "--tmax", "20"],
+    "pmf-gamma-r": ["pmf", *_TRIPLE, "--method", "gamma", "--r", "10",
+                    "--tmax", "20"],
     # infinite m: the negative binomial law
     "pmf-inf": ["pmf", *_INF],
     "cdf-inf-json": ["cdf", *_INF, "--tmax", "10", *_JSON],
@@ -70,15 +70,17 @@ CASES.update({
     "sample-inf": ["sample", *_INF, "--n", "50", "--seed", "1"],
     "moments-inf-json": ["moments", *_INF, *_JSON],
     "gfun-inf-mgf": ["gfun", *_INF, "--kind", "mgf", "--arg", "0.2"],
-    "approx-inf": ["approx", *_INF, "--tmax", "15"],
+    "pmf-gamma-inf": ["pmf", *_INF, "--method", "gamma", "--tmax", "15"],
     # methods
     "pmf-gamma": ["pmf", *_TRIPLE, "--method", "gamma"],
+    "pmf-gamma-json": ["pmf", *_TRIPLE, "--method", "gamma", *_JSON],
     "pmf-gamma-log-json": ["pmf", *_TRIPLE, "--method", "gamma", "--log", *_JSON],
     "pmf-auto-exact-json": ["pmf", *_TRIPLE, "--method", "auto", *_JSON],
     "pmf-auto-gamma-json": ["pmf", "--m", "2000", "--k", "5", "--theta", "0.5",
                             "--tmax", "8", "--method", "auto", *_JSON],
-    "pmf-auto-threshold": ["pmf", *_TRIPLE, "--method", "auto", "--threshold", "10"],
-    "approx-log-tmax": ["approx", *_SMALL, "--tmax", "9", "--log"],
+    "pmf-auto-boundary-json": ["pmf", "--m", "1000", "--k", "2", "--theta", "0.6",
+                               "--tmax", "5", "--method", "auto", *_JSON],
+    "pmf-gamma-log-tmax": ["pmf", *_SMALL, "--method", "gamma", "--tmax", "9", "--log"],
     "pmf-gamma-large-shape": ["pmf", "--m", "inf", "--k", "2000", "--theta", "0.5",
                               "--method", "auto"],
     # generating functions
@@ -93,6 +95,7 @@ CASES.update({
     "rse-summaries-json": ["rse-block", "--m", "7", "--theta", "1", "--summaries",
                            *_JSON],
     "rse-refused": ["rse-block", "--m", "200", "--budget", "1000"],
+    "rse-refused-huge": ["rse-block", "--m", "1000000"],
     "rse-budget-nan": ["rse-block", "--m", "3", "--budget", "nan"],
     "rse-budget-negative": ["rse-block", "--m", "3", "--budget", "-1"],
     "rse-m-zero": ["rse-block", "--m", "0"],
@@ -110,7 +113,7 @@ CASES.update({
     "err-theta-tiny-moments": ["moments", "--m", "5", "--k", "2", "--theta", "1e-300"],
     "err-tmax-negative": ["pmf", *_SMALL, "--tmax", "-1"],
     "err-tmax-negative-cdf": ["cdf", *_SMALL, "--tmax", "-1"],
-    "err-tmax-negative-approx": ["approx", *_SMALL, "--tmax", "-1"],
+    "err-tmax-negative-gamma": ["pmf", *_SMALL, "--method", "gamma", "--tmax", "-1"],
     "err-tmax-negative-block": ["pmf", *_SMALL, "--tmax", "-1", "--block"],
     "err-tmax-huge": ["pmf", *_SMALL, "--tmax", str(2**62)],
     "err-block-gamma": ["pmf", *_SMALL, "--block", "--method", "gamma"],
@@ -135,12 +138,13 @@ CASES.update({
     "parse-missing": ["pmf", "--m", "3", "--theta", "1"],
     "parse-unknown-flag": ["pmf", *_SMALL, "--bogus"],
     "parse-format": ["pmf", *_SMALL, "--format", "xml"],
-    "parse-approx-method": ["approx", *_SMALL, "--method", "exact"],
+    "parse-approx-removed": ["approx", *_SMALL],
+    "parse-threshold-removed": ["pmf", *_TRIPLE, "--method", "auto",
+                                "--threshold", "10"],
     "parse-no-command": [],
     "out-missing-dir": ["pmf", *_SMALL, "--tmax", "2", "--out", "no-such-dir/x.csv"],
     "help": ["--help"],
     "help-pmf": ["pmf", "--help"],
-    "help-approx": ["approx", "--help"],
 })
 
 
