@@ -4,6 +4,9 @@ Exact log-space computation of the excess hitting-time laws of the
 extended occupancy problem, their moments and generating functions, a
 moment-matched gamma approximation, reproducible sampling, and an
 accuracy study comparing the two computation routes.
+
+The extended-precision cross-validation oracles live in
+:mod:`negocc.oracles`, which only the tests import.
 """
 
 from .accuracy import (
@@ -52,25 +55,12 @@ from .moments import (
     total_hitting_moments,
 )
 from .numerics import (
-    gamma_log_cdf,
     gamma_log_cdf_grid,
     harmonic_power_sum,
     harmonic_power_sums,
-    log_diff_exp,
-    log_falling_factorial,
-    log_sum_exp,
     stirling2,
-    stirling2_noncentral,
 )
-from .params import INFINITE, OccupancyParams
-from .representations import (
-    WeightVector,
-    conditional_params,
-    convolution_pmf,
-    stirling_pmf,
-    weight_vector,
-    weighted_geometric_pmf,
-)
-from .sampler import SampleConfig, empirical_pmf, sample_geometric, sample_negocc
+from .params import INFINITE, OccupancyParams, conditional_params
+from .sampler import SampleConfig, empirical_pmf, sample_negocc
 
 __version__ = "0.1.0"

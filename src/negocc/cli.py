@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from . import accuracy, exact, gamma_approx, moments, representations, sampler
+from . import accuracy, exact, gamma_approx, moments, sampler
 from .errors import DomainError, WorkBudgetError
-from .params import INFINITE, OccupancyParams
+from .params import INFINITE, OccupancyParams, conditional_params
 
 __all__ = ["execute", "main"]
 
@@ -61,7 +61,7 @@ def _effective_params(ns) -> OccupancyParams:
     params = _params_from(ns)
     if ns.r == 0:
         return params
-    return representations.conditional_params(ns.m, ns.k, ns.theta, ns.r)
+    return conditional_params(ns.m, ns.k, ns.theta, ns.r)
 
 
 def _default_tmax(ns, params: OccupancyParams) -> int:

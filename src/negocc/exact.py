@@ -126,8 +126,7 @@ def negbin_log_pmf(k: int, theta: float, t: int) -> float:
     """Negative binomial log mass (the m = INFINITE law): the k-fold
     convolution of Geom(theta) on the failures support."""
     theta = check_triple(INFINITE, k, theta)
-    if not isinstance(t, int) or t < 0:
-        raise DomainError("t must satisfy t >= 0")
+    check_tmax(t, "t")
     return float(_negbin_log_pmf(k, theta, np.float64(t)))
 
 
@@ -181,8 +180,7 @@ def cdf_vector(params: OccupancyParams, tmax: int) -> np.ndarray:
 
 def cdf(params: OccupancyParams, t: int) -> float:
     """P(T <= t); non-decreasing in t and clamped to [0, 1]."""
-    if not isinstance(t, int) or t < 0:
-        raise DomainError("t must satisfy t >= 0")
+    check_tmax(t, "t")
     return float(cdf_vector(params, t)[t])
 
 

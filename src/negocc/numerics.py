@@ -6,46 +6,15 @@ returns ``+inf`` or NaN for inputs inside its domain.
 """
 
 import math
-import threading
 
 import numpy as np
-from mpmath import mp, mpf
 
-from .errors import DomainError, OracleRangeError
+from .errors import DomainError
 from .params import INFINITE, check_triple
 
 NEG_INF = float("-inf")
 
-#: Largest first argument accepted by the noncentral Stirling oracle.
-STIRLING_ORACLE_MAX_N = 60
-
-#: Decimal digits used for extended-precision oracle arithmetic.
-ORACLE_DPS = 50
-
 _LN2 = math.log(2.0)
-
-
-def log_sum_exp(terms) -> float:
-    """log(sum(exp(t) for t in terms)), shifted by the maximum term.
-
-    An all ``-inf`` input returns ``-inf``; an empty input is a domain
-    error (the empty sum has no log).  One instance of the peak is kept
-    symbolic and the rest folded in through log1p, so contributions as
-    far as 700 logs below the maximum survive at full relative precision
-    and ``log_diff_exp`` can recover them.
-    """
-    values = [float(t) for t in terms]
-    if not values:
-        raise DomainError("log_sum_exp requires a non-empty sequence")
-    finite = [t for t in values if t != NEG_INF]
-    if not finite:
-        return NEG_INF
-    lead = finite.index(max(finite))
-    peak = finite[lead]
-    rest = math.fsum(
-        math.exp(t - peak) for i, t in enumerate(finite) if i != lead
-    )
-    return peak + math.log1p(rest)
 
 
 def log_diff_grid(upper, lower) -> np.ndarray:
@@ -64,16 +33,6 @@ def log_diff_grid(upper, lower) -> np.ndarray:
         out = np.where(d > -_LN2, via_expm1, via_log1p)
         out = np.where(d < 0.0, out, NEG_INF)
     return np.where(np.isnan(out), NEG_INF, out)
-
-
-def log_diff_exp(l1: float, l2: float) -> float:
-    """log(exp(l1) - exp(l2)) for l1 >= l2; equal arguments give ``-inf``.
-
-    The scalar form of :func:`log_diff_grid`.
-    """
-    if float(l1) < float(l2):
-        raise DomainError("log_diff_exp requires l1 >= l2")
-    return float(log_diff_grid(l1, l2))
 
 
 #: Terms summed per numpy call, so the scalar sum's memory does not grow with k.
@@ -133,18 +92,6 @@ def harmonic_power_sums(m, k: int, theta: float, order: int) -> np.ndarray:
     return _power_sums(m, k, theta, order, keep=True)
 
 
-def log_falling_factorial(m: int, k: int) -> float:
-    """log of m*(m-1)*...*(m-k+1); the empty product (k = 0) gives 0."""
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("m must be a positive integer")
-    if not isinstance(k, int) or k < 0 or k > m:
-        raise DomainError("k must satisfy 0 <= k <= m")
-    total = 0.0
-    for i in range(k):
-        total += math.log(m - i)
-    return total
-
-
 def stirling2(r: int, i: int) -> int:
     """Central Stirling number of the second kind S(r, i), exactly.
 
@@ -167,84 +114,6 @@ def stirling2(r: int, i: int) -> int:
             new[j - 1] = a + b
         row = new
     return row[i - 1]
-
-
-# -- noncentral Stirling oracle ---------------------------------------------
-#
-# Built column by column from the base case S(n, 0, phi) = phi**n via the
-# telescoping sum
-#
-#   S(n, j, phi) = sum_{r=0}^{n-j} (j + phi)**r * S(n-1-r, j-1, phi),
-#
-# in ORACLE_DPS-digit arithmetic.  The table is memoised per (column, phi)
-# because callers typically sweep n at fixed column.
-
-#: Serialises every extended-precision section: mpmath's working precision
-#: is process-global state, so concurrent callers take this lock.
-mp_lock = threading.RLock()
-
-_stirling_cache: dict = {}
-
-
-def _stirling_column(j: int, phi: float, n_max: int) -> list:
-    """mpf values S(n, j, phi) for n = j..n_max (column j of the table)."""
-    key = (j, phi)
-    with mp_lock:
-        col = _stirling_cache.get(key)
-        if col is not None and len(col) >= n_max - j + 1:
-            return col
-    if j == 0:
-        col = [mpf(phi) ** n for n in range(n_max + 1)]
-    else:
-        below = _stirling_column(j - 1, phi, n_max - 1)
-        base = mpf(j) + mpf(phi)
-        powers = [mpf(1)]
-        for _ in range(n_max - j):
-            powers.append(powers[-1] * base)
-        col = []
-        for n in range(j, n_max + 1):
-            # telescoping sum over r = 0..n-j; below[n-1-r - (j-1)] is
-            # S(n-1-r, j-1, phi)
-            acc = mpf(0)
-            for r in range(n - j + 1):
-                acc += powers[r] * below[n - 1 - r - (j - 1)]
-            col.append(acc)
-    with mp_lock:
-        kept = _stirling_cache.get(key)
-        if kept is None or len(kept) < len(col):
-            _stirling_cache[key] = col
-            kept = col
-    return kept
-
-
-def _stirling2_noncentral_mp(n: int, k: int, phi: float):
-    """S(n, k, phi) as an mpf; shared with the direct-evaluation oracle."""
-    with mp_lock, mp.workdps(ORACLE_DPS):
-        col = _stirling_column(k, float(phi), n)
-    if k == 0:
-        return col[n]
-    return col[n - k]
-
-
-def stirling2_noncentral(n: int, k: int, phi: float) -> float:
-    """Noncentral Stirling number of the second kind S(n, k, phi).
-
-    A high-precision oracle for small instances only: the telescoping
-    recursion is evaluated in extended precision, and n is capped at
-    ``STIRLING_ORACLE_MAX_N`` because the values grow combinatorially.
-    ``phi = 0`` reduces to the central numbers.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("n must be a non-negative integer")
-    if not isinstance(k, int) or k < 0 or k > n:
-        raise DomainError("k must satisfy 0 <= k <= n")
-    if not (phi >= 0.0):
-        raise DomainError("phi must be non-negative")
-    if n > STIRLING_ORACLE_MAX_N:
-        raise OracleRangeError(
-            f"noncentral Stirling oracle is limited to n <= {STIRLING_ORACLE_MAX_N}"
-        )
-    return float(_stirling2_noncentral_mp(n, k, phi))
 
 
 # -- regularized incomplete gamma, in log-space -----------------------------
@@ -306,8 +175,3 @@ def gamma_log_cdf_grid(x, shape: float, rate: float) -> np.ndarray:
                 f"shape is too large for the incomplete gamma series: {shape:.6g}"
             )
     return out
-
-
-def gamma_log_cdf(x: float, shape: float, rate: float) -> float:
-    """Scalar wrapper around :func:`gamma_log_cdf_grid`."""
-    return float(gamma_log_cdf_grid(np.array([float(x)]), shape, rate)[0])

@@ -39,12 +39,17 @@ def check_triple(m, k, theta) -> float:
     return theta
 
 
-def check_tmax(tmax) -> int:
-    """Validate a largest argument tmax: an integer in [0, 2**59)."""
+def check_tmax(tmax, name: str = "tmax") -> int:
+    """Validate a largest argument tmax (or one argument called ``name``):
+    an integer in [0, 2**59)."""
     if not isinstance(tmax, int) or tmax < 0:
-        raise DomainError("tmax must satisfy tmax >= 0")
+        raise DomainError(f"{name} must satisfy {name} >= 0")
     if tmax >= 2**59:  # 2**62 bytes of doubles: past what numpy can allocate
-        raise DomainError(f"tmax must satisfy tmax < 2**59, got {tmax:.6g}")
+        # Decimal, unlike float, also renders integers past 1.8e308
+        from decimal import Context, Decimal
+
+        got = format(Decimal(tmax).normalize(Context(prec=6)), "g")
+        raise DomainError(f"{name} must satisfy {name} < 2**59, got {got}")
     return tmax
 
 
@@ -80,3 +85,21 @@ class OccupancyParams:
     @property
     def is_coupon_collector(self) -> bool:
         return not self.is_infinite and self.k == self.m
+
+
+def conditional_params(m: int, k: int, theta: float, r: int) -> OccupancyParams:
+    """Parameters of the excess hitting time from occupancy r to r + k.
+
+    The family is closed under conditioning: with r bins already occupied,
+    the remaining wait is negative occupancy with the occupied bins folded
+    out of the space and into the probability parameter,
+    (m', k', theta') = (m - r, k, theta*(m-r)/m).
+    """
+    if not isinstance(r, int) or r < 0:
+        raise DomainError("r must satisfy r >= 0")
+    theta = check_triple(m, k, theta)
+    if m == INFINITE:
+        raise DomainError("conditioning requires finite m")
+    if r + k > m:
+        raise DomainError("conditioning requires r + k <= m")
+    return OccupancyParams(m - r, k, theta * (m - r) / m)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .params import OccupancyParams, check_tmax
 
-__all__ = ["SampleConfig", "sample_geometric", "sample_negocc", "empirical_pmf"]
+__all__ = ["SampleConfig", "sample_negocc", "empirical_pmf"]
 
 #: Uniforms per chunk (32 MiB of doubles); a chunk holds at least one draw.
 _CHUNK_DOUBLES = 1 << 22
@@ -41,6 +41,8 @@ class SampleConfig:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError("n must be a positive integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise DomainError("seed must satisfy seed >= 0")
         if not isinstance(self.conditional_r, int) or self.conditional_r < 0:
             raise DomainError("conditional_r must satisfy conditional_r >= 0")
         if (
@@ -48,23 +50,6 @@ class SampleConfig:
             and self.conditional_r + self.params.k > self.params.m
         ):
             raise DomainError("conditioning requires conditional_r + k <= m")
-
-
-def sample_geometric(p: float, u: float) -> int:
-    """Inverse-CDF geometric draw on the failures support 0, 1, 2, ...
-
-    floor(log(1-u) / log(1-p)) for p < 1; p = 1 is a certain success and
-    returns 0.  p <= 0 would mean an infinite expected wait.
-    """
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise DomainError("p must satisfy 0 < p <= 1")
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise DomainError("u must lie strictly inside (0, 1)")
-    if p == 1.0:
-        return 0
-    return int(math.floor(math.log1p(-u) / math.log1p(-p)))
 
 
 def _increment_probs(config: SampleConfig) -> np.ndarray:

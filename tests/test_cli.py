@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,13 +336,23 @@ class TestOtherCommands:
         ["pmf", "--m", "5", "--k", "2", "--theta", "1e-150"],
         ["cdf", "--m", "5", "--k", "2", "--theta", "1e-100"],
         ["pmf", "--m", "5", "--k", "2", "--theta", "0.5", "--tmax", str(2**62)],
-    ], ids=["pmf-default-tmax", "cdf-default-tmax", "pmf-tmax-2**62"])
+        ["pmf", "--m", "5", "--k", "2", "--theta", "0.5", "--tmax", str(10**400)],
+    ], ids=["pmf-default-tmax", "cdf-default-tmax", "pmf-tmax-2**62",
+            "pmf-tmax-beyond-float"])
     def test_huge_tmax_names_tmax(self, capsys, argv):
         # the default tmax, the truncation point, grows like 1/theta
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1
         assert err.startswith("negocc: error: tmax must satisfy tmax < 2**59")
+
+    def test_negative_seed_names_seed(self, capsys):
+        code, out, err = run(
+            capsys, "sample", "--m", "9", "--k", "4", "--theta", "0.7", "--n", "5",
+            "--seed", "-1",
+        )
+        assert code == 2 and out == ""
+        assert err == "negocc: error: seed must satisfy seed >= 0\n"
 
     def test_sample_rejects_conditioning_at_infinite_m(self, capsys):
         message = "conditioning (--r > 0) requires finite m"
@@ -440,3 +452,27 @@ class TestConsoleScript:
         )
         assert first.stdout == second.stdout
         assert first.stdout.startswith(b"value\n")
+
+
+class TestImportPath:
+    def test_cli_runs_without_mpmath_or_the_oracles(self):
+        # the extended-precision oracles serve the tests only: a fresh
+        # interpreter that runs every CLI route never loads them
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from negocc.cli import execute\n"
+            "triple = ['--m', '9', '--k', '4', '--theta', '0.7']\n"
+            "runs = [['pmf', *triple], ['pmf', *triple, '--method', 'gamma'],\n"
+            "        ['sample', *triple, '--n', '20'], ['rse-block', '--m', '5']]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [execute(argv) for argv in runs]\n"
+            "print(json.dumps([codes, 'mpmath' in sys.modules,\n"
+            "                  'negocc.oracles' in sys.modules]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert json.loads(done.stdout) == [[0, 0, 0, 0], False, False]

@@ -13,7 +13,6 @@ from negocc import (
     cdf,
     cdf_vector,
     coupon_collector_pmf_vector,
-    log_falling_factorial,
     log_pmf_block,
     log_pmf_vector,
     negbin_log_pmf,
@@ -21,6 +20,7 @@ from negocc import (
     quantile,
     truncation_point,
 )
+from negocc.oracles import log_falling_factorial
 
 NEG_INF = float("-inf")
 
@@ -175,6 +175,14 @@ class TestNegbinLogPmf:
         assert negbin_log_pmf(4, 1.0, 3) == NEG_INF
         logs = log_pmf_vector(OccupancyParams(INFINITE, 4, 1.0), 5)
         np.testing.assert_array_equal(logs, [0.0] + [NEG_INF] * 5)  # never NaN
+
+    def test_argument_past_the_index_range_names_t(self):
+        # bounded like tmax: a t past the float range used to overflow
+        for t in (2**59, 10**400):
+            with pytest.raises(DomainError, match=r"^t must satisfy t < 2\*\*59, got "):
+                negbin_log_pmf(3, 0.5, t)
+        with pytest.raises(DomainError, match=r"^t must satisfy t >= 0$"):
+            negbin_log_pmf(3, 0.5, -1)
 
     def test_normalises(self):
         logs = [negbin_log_pmf(4, 0.35, t) for t in range(400)]

@@ -12,7 +12,7 @@ from negocc import (
     approx_log_pmf,
     approx_params,
     approx_pmf,
-    gamma_log_cdf,
+    gamma_log_cdf_grid,
     mean_variance,
     pmf_vector,
     truncation_point,
@@ -55,7 +55,7 @@ class TestApproxLogPmf:
     def test_exponential_first_cell(self):
         # synthetic alpha = beta = 1 (mean 1/2, variance 1): the t = 0
         # cell is the Exp(1) probability of [0, 1)
-        from negocc.numerics import gamma_log_cdf_grid, log_diff_grid
+        from negocc.numerics import log_diff_grid
 
         gp = approx_params(0.5, 1.0)
         assert (gp.alpha, gp.beta) == pytest.approx((1.0, 1.0), rel=1e-15)
@@ -71,7 +71,7 @@ class TestApproxLogPmf:
         mean, var = mean_variance(params)
         gp = approx_params(mean, var)
         total = approx_pmf(params, tmax).sum()
-        endpoint = math.exp(gamma_log_cdf(tmax + 1.0, gp.alpha, gp.beta))
+        endpoint = math.exp(gamma_log_cdf_grid(tmax + 1.0, gp.alpha, gp.beta)[0])
         np.testing.assert_allclose(total, endpoint, rtol=1e-12)
 
     def test_cells_are_probabilities(self):

@@ -11,10 +11,12 @@ from negocc import (
     OccupancyParams,
     OracleRangeError,
     conditional_params,
-    convolution_pmf,
     pmf_vector,
-    stirling_pmf,
     truncation_point,
+)
+from negocc.oracles import (
+    convolution_pmf,
+    stirling_pmf,
     weight_vector,
     weighted_geometric_pmf,
 )
@@ -59,6 +61,10 @@ class TestWeightVector:
     def test_domain(self):
         with pytest.raises(DomainError):
             weight_vector(3, 4)
+
+    def test_infinite_space_rejected(self):
+        with pytest.raises(DomainError, match="requires finite m"):
+            weight_vector(INFINITE, 3)
 
 
 class TestWeightedGeometricPmf:

@@ -16,10 +16,10 @@ from negocc import (
     empirical_pmf,
     mean_variance,
     pmf_vector,
-    sample_geometric,
     sample_negocc,
     truncation_point,
 )
+from negocc.oracles import sample_geometric
 from negocc.sampler import _increment_probs, _sample_range
 
 
@@ -154,6 +154,11 @@ class TestSampleNegocc:
     def test_conditional_r_domain(self):
         with pytest.raises(DomainError):
             SampleConfig(OccupancyParams(4, 2, 1.0), n=10, seed=0, conditional_r=3)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_domain(self, seed):
+        with pytest.raises(DomainError, match=r"^seed must satisfy seed >= 0$"):
+            SampleConfig(OccupancyParams(4, 2, 1.0), n=10, seed=seed)
 
 
 class TestEmpiricalPmf:
