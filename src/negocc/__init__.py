@@ -27,7 +27,6 @@ from .errors import (
     WorkBudgetError,
 )
 from .exact import (
-    LogPmfBlock,
     cdf,
     cdf_vector,
     coupon_collector_pmf_vector,
@@ -40,7 +39,6 @@ from .exact import (
 from .gamma_approx import GammaApproxParams, approx_log_pmf, approx_params, approx_pmf
 from .moments import (
     AsymptoticMoments,
-    CumulantSet,
     MomentSummary,
     asymptotic_cgf,
     asymptotic_moments,

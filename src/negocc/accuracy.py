@@ -134,7 +134,7 @@ def rse_block(
         cells = zip(means.tolist(), variances.tolist(), cuts.astype(int).tolist())
         rows = []
         for k, (mean, variance, t_cut) in enumerate(cells, start=1):
-            exact = np.exp(block.log_column(k)[: t_cut + 1])
+            exact = np.exp(block[k - 1, : t_cut + 1])
             approx = np.exp(_moment_log_pmf(mean, variance, t_cut))
             rows.append(RseReport(m=m, k=k, theta=theta, truncation=t_cut,
                                   rse=rse(exact, approx)))

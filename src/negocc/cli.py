@@ -158,7 +158,8 @@ def _run_pmf(ns, out: _Output) -> None:
         if params.is_infinite:
             raise DomainError("--block output requires finite m")
         method = "exact"
-        values = exact.log_pmf_block(int(params.m), params.theta, params.k, tmax).values
+        # rows are occupancies; the table runs over t first, then r
+        values = exact.log_pmf_block(int(params.m), params.theta, params.k, tmax).T
         t, r = np.indices(values.shape).reshape(2, -1)
         header, columns = "t,r,value", [t, r + 1]
     else:

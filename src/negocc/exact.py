@@ -15,7 +15,6 @@ to the negative binomial law.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .numerics import NEG_INF
 from .params import INFINITE, OccupancyParams, check_tmax, check_triple
 
 __all__ = [
-    "LogPmfBlock",
     "log_pmf_block",
     "log_pmf_vector",
     "pmf_vector",
@@ -34,38 +32,6 @@ __all__ = [
     "cdf_vector",
     "quantile",
 ]
-
-
-@dataclass(frozen=True)
-class LogPmfBlock:
-    """Grid of log-probabilities L(t, r) for t = 0..tmax, r = 1..k.
-
-    ``values[t, r-1]`` is the log mass at argument t under occupancy
-    parameter r (space m, probability theta fixed).  The array is marked
-    read-only; a block can be shared freely across threads.
-    """
-
-    m: int
-    theta: float
-    tmax: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
-    def log_column(self, r: int) -> np.ndarray:
-        """Log-pmf vector for occupancy parameter r (1-based)."""
-        if not 1 <= r <= self.k:
-            raise DomainError("column index must satisfy 1 <= r <= k")
-        return self.values[:, r - 1]
-
-    def column(self, r: int) -> np.ndarray:
-        """Probability vector for occupancy parameter r (1-based)."""
-        return np.exp(self.log_column(r))
 
 
 def _geometric_log_column(theta: float, tmax: int) -> np.ndarray:
@@ -104,22 +70,24 @@ def _log_columns(m: int, theta: float, k: int, tmax: int):
         yield col
 
 
-def log_pmf_block(m: int, theta: float, k: int, tmax: int) -> LogPmfBlock:
-    """Full (tmax+1) x k block of log-probabilities.
+def log_pmf_block(m: int, theta: float, k: int, tmax: int) -> np.ndarray:
+    """Read-only (k, tmax+1) array of log-probabilities.
 
-    Column r of the result is the exact log-pmf for parameters
-    (m, r, theta) over arguments t = 0..tmax; the intermediate columns are
-    retained because block consumers (parameter studies, block CLI output)
-    need every occupancy value, not just the last.
+    Row r-1 is the exact log-pmf for parameters (m, r, theta) over
+    arguments t = 0..tmax, so each occupancy is one contiguous row; the
+    intermediate rows are retained because block consumers (parameter
+    studies, block CLI output) need every occupancy value, not just the
+    last.  The array is marked read-only and can be shared freely.
     """
     params = OccupancyParams(m, k, theta)
     if params.is_infinite:
         raise DomainError("log_pmf_block requires finite m")
     check_tmax(tmax)
-    values = np.empty((tmax + 1, k))
-    for r, col in enumerate(_log_columns(m, params.theta, k, tmax)):
-        values[:, r] = col
-    return LogPmfBlock(m=m, theta=params.theta, tmax=tmax, values=values)
+    block = np.empty((k, tmax + 1))
+    for row, col in zip(block, _log_columns(m, params.theta, k, tmax)):
+        row[:] = col
+    block.setflags(write=False)
+    return block
 
 
 def negbin_log_pmf(k: int, theta: float, t: int) -> float:

@@ -20,7 +20,6 @@ from .numerics import _SUM_CHUNK, harmonic_power_sum, stirling2
 from .params import INFINITE, OccupancyParams, check_triple
 
 __all__ = [
-    "CumulantSet",
     "MomentSummary",
     "AsymptoticMoments",
     "cumulant",
@@ -45,15 +44,6 @@ GENERATING_FUNCTION_KINDS = ("pgf", "cf", "mgf", "cgf")
 _BOUND_GUARD = 1.0 - 1e-12
 
 _MAX_CUMULANT_ORDER = 20
-
-
-@dataclass(frozen=True)
-class CumulantSet:
-    """Cumulants kappa_1..kappa_order for one parameter triple."""
-
-    params: OccupancyParams
-    order: int
-    kappas: tuple
 
 
 @dataclass(frozen=True)
@@ -89,7 +79,7 @@ def _h(params: OccupancyParams, order: int) -> float:
     return harmonic_power_sum(params.m, params.k, params.theta, order)
 
 
-def _cumulants(params: OccupancyParams, order: int) -> tuple:
+def cumulant_set(params: OccupancyParams, order: int) -> tuple:
     """kappa_1..kappa_order from one pass over h_1..h_order:
 
     kappa_r = sum_{i=1}^{r} (-1)**(r-i) * S(r, i) * (i-1)! * h_i  -  k*[r == 1].
@@ -114,17 +104,12 @@ def _cumulants(params: OccupancyParams, order: int) -> tuple:
 
 def cumulant(params: OccupancyParams, r: int) -> float:
     """r-th cumulant from its closed form (see :func:`cumulant_set`)."""
-    return _cumulants(params, r)[-1]
-
-
-def cumulant_set(params: OccupancyParams, order: int) -> CumulantSet:
-    """Cumulants kappa_1..kappa_order, from one pass over h_1..h_order."""
-    return CumulantSet(params=params, order=order, kappas=_cumulants(params, order))
+    return cumulant_set(params, r)[-1]
 
 
 def mean_variance(params: OccupancyParams) -> tuple:
     """(mean, variance) = (h_1 - k, h_2 - h_1); variance clamped at 0."""
-    mean, variance = _cumulants(params, 2)
+    mean, variance = cumulant_set(params, 2)
     return mean, max(variance, 0.0)
 
 
@@ -133,7 +118,7 @@ def moment_summary(params: OccupancyParams) -> MomentSummary:
 
     One pass over h_1..h_4 (four harmonic power sums) serves all four.
     """
-    k1, k2, k3, k4 = _cumulants(params, 4)
+    k1, k2, k3, k4 = cumulant_set(params, 4)
     var = max(k2, 0.0)
     if var == 0.0:
         return MomentSummary(mean=k1, variance=var)
@@ -216,11 +201,15 @@ def generating_function(params: OccupancyParams, kind: str, arg: float):
     is evaluated through its log-sum for stability; the CGF returns that
     log-sum directly.  The CF exists for every real s; pgf/mgf/cgf
     arguments outside their domain of convergence raise a domain error
-    naming the bound.
+    naming the bound.  A non-finite ``arg`` is a domain error, and so is an
+    mgf/cgf s whose exp(s) overflows (only a point mass, whose bound is
+    infinite, admits one).
     """
     if kind not in GENERATING_FUNCTION_KINDS:
         raise DomainError(f"kind must be one of {GENERATING_FUNCTION_KINDS}")
     arg = float(arg)
+    if not math.isfinite(arg):
+        raise DomainError("arg must be finite")
     k, theta = params.k, params.theta
 
     if kind == "pgf":
@@ -230,7 +219,12 @@ def generating_function(params: OccupancyParams, kind: str, arg: float):
     elif kind == "mgf" or kind == "cgf":
         log_radius = math.log(_pgf_radius(params))  # log(inf) is inf
         _check_bound(arg, log_radius, f"{kind} argument must satisfy s < log-bound", False)
-        transformed = math.exp(arg)
+        try:
+            transformed = math.exp(arg)
+        except OverflowError:  # only a point mass, whose bound is inf, gets here
+            raise DomainError(
+                f"{kind} argument is too large: exp(s) overflows a double"
+            ) from None
     else:  # cf: |exp(i*s)| = 1 lies inside the pgf disc for every real s
         transformed = cmath.exp(1j * arg)
 

@@ -92,7 +92,7 @@ def test_criterion_02_normalization_within_truncation():
                 ]
                 block = log_pmf_block(m, theta, m, max(cuts))
                 for k in range(1, m + 1):
-                    mass = float(np.exp(block.log_column(k)[: cuts[k - 1] + 1]).sum())
+                    mass = float(np.exp(block[k - 1, : cuts[k - 1] + 1]).sum())
                     assert mass >= 0.99, (m, k, theta, mass)
 
 

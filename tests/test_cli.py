@@ -182,7 +182,7 @@ class TestPmfCommand:
         _, out, _ = run(capsys, "cdf", *triple, "--tmax", "9")
         assert out == rows("t,value\n", exact.cdf_vector(params, 9))
         _, out, _ = run(capsys, "pmf", *triple, "--tmax", "4", "--block")
-        grid = np.exp(exact.log_pmf_block(9, 0.7, 4, 4).values)
+        grid = np.exp(exact.log_pmf_block(9, 0.7, 4, 4).T)
         assert out == "t,r,value\n" + "".join(
             f"{t},{r + 1},{grid[t, r]:.17g}\n" for t in range(5) for r in range(4)
         )
@@ -326,6 +326,30 @@ class TestOtherCommands:
         )
         assert code == 0 and err == ""
         assert out.splitlines()[1].startswith("cf,3,")
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "cf", "--arg", "nan"],
+        ["--kind", "cf", "--arg", "inf", "--format", "json"],
+        ["--kind", "mgf", "--arg=-inf"],
+    ], ids=["cf-nan", "cf-inf-json", "mgf-minus-inf"])
+    def test_gfun_non_finite_arg_names_arg(self, capsys, argv):
+        code, out, err = run(
+            capsys, "gfun", "--m", "9", "--k", "4", "--theta", "0.7", *argv
+        )
+        assert code == 2 and out == ""
+        assert err == "negocc: error: arg must be finite\n"
+
+    @pytest.mark.parametrize("triple, kind, arg", [
+        (["--m", "9", "--k", "1", "--theta", "1"], "mgf", "800"),
+        (["--m", "9", "--k", "1", "--theta", "1"], "cgf", "710"),
+        (["--m", "inf", "--k", "3", "--theta", "1"], "mgf", "800"),
+    ], ids=["mgf", "cgf", "mgf-inf"])
+    def test_gfun_point_mass_overflow_names_argument(self, capsys, triple, kind, arg):
+        # a point mass has an infinite bound, so only exp(s) itself can fail
+        code, out, err = run(capsys, "gfun", *triple, "--kind", kind, "--arg", arg)
+        assert code == 2 and out == ""
+        assert err == (f"negocc: error: {kind} argument is too large: "
+                       "exp(s) overflows a double\n")
 
     def test_tiny_theta_names_theta(self, capsys):
         code, out, err = run(capsys, "pmf", "--m", "5", "--k", "2", "--theta", "1e-300")

@@ -8,7 +8,6 @@ import pytest
 from negocc import (
     INFINITE,
     DomainError,
-    LogPmfBlock,
     OccupancyParams,
     cdf,
     cdf_vector,
@@ -62,9 +61,9 @@ class TestBlockRecursion:
             ref = _reference_block(m, theta, k, tmax)
             finite = np.isfinite(ref)
             np.testing.assert_allclose(
-                block.values[finite], ref[finite], rtol=1e-12, atol=1e-12
+                block.T[finite], ref[finite], rtol=1e-12, atol=1e-12
             )
-            assert np.array_equal(np.isfinite(block.values), finite)
+            assert np.array_equal(np.isfinite(block.T), finite)
 
     def test_first_column_is_geometric_exactly(self):
         for theta in (0.25, 0.6, 1.0):
@@ -74,37 +73,37 @@ class TestBlockRecursion:
                 expected = np.where(ts == 0, 0.0, NEG_INF)
             else:
                 expected = math.log(theta) + ts * math.log1p(-theta)
-            assert np.array_equal(block.log_column(1), expected)
+            assert np.array_equal(block[0], expected)
 
     def test_columns_are_subprobability(self):
         for theta in (0.25, 0.6, 1.0):
             block = log_pmf_block(10, theta, 10, 400)
-            assert np.all(block.values <= 0.0)
-            sums = np.exp(block.values).sum(axis=0)
+            assert np.all(block <= 0.0)
+            sums = np.exp(block).sum(axis=1)
             assert np.all(sums <= 1.0 + 1e-12)
 
     def test_block_is_immutable(self):
         block = log_pmf_block(4, 1.0, 3, 5)
         with pytest.raises(ValueError):
-            block.values[0, 0] = 1.0
+            block[0, 0] = 1.0
 
     def test_no_nan_anywhere(self):
         for theta in (1e-9, 0.5, 1.0):
             block = log_pmf_block(6, theta, 6, 50)
-            assert not np.any(np.isnan(block.values))
+            assert not np.any(np.isnan(block))
 
     def test_convolution_example(self):
         # Geom(1) * Geom(2/3) puts mass 2/3, 2/9 on t = 0, 1
         block = log_pmf_block(3, 1.0, 2, 1)
         np.testing.assert_allclose(
-            block.column(2), [2.0 / 3.0, 2.0 / 9.0], rtol=1e-14
+            np.exp(block[1]), [2.0 / 3.0, 2.0 / 9.0], rtol=1e-14
         )
 
     def test_half_geometric_example(self):
         # k = 2, m = 2, theta = 1: mass 2**-(t+1)
         block = log_pmf_block(2, 1.0, 2, 6)
         ts = np.arange(7)
-        np.testing.assert_allclose(block.column(2), 0.5 ** (ts + 1), rtol=1e-13)
+        np.testing.assert_allclose(np.exp(block[1]), 0.5 ** (ts + 1), rtol=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -122,11 +121,17 @@ class TestPmfVector:
             np.testing.assert_allclose(got, [0.5, 0.25, 0.125], rtol=1e-14)
 
     def test_matches_block_final_column(self):
-        params = OccupancyParams(9, 6, 0.6)
-        block = log_pmf_block(9, 0.6, 6, 30)
-        np.testing.assert_array_equal(
-            log_pmf_vector(params, 30), block.log_column(6)
-        )
+        # one read-only, C-contiguous row per occupancy r, bit for bit the
+        # vector of (m, r, theta)
+        for (m, theta, k, tmax) in [(9, 0.6, 6, 30), (5, 1.0, 5, 12),
+                                    (40, 0.25, 17, 200), (1, 1.0, 1, 0)]:
+            block = log_pmf_block(m, theta, k, tmax)
+            assert block.shape == (k, tmax + 1)
+            assert block.dtype == np.float64
+            assert block.flags.c_contiguous and not block.flags.writeable
+            for r in range(1, k + 1):
+                vector = log_pmf_vector(OccupancyParams(m, r, theta), tmax)
+                assert vector.tobytes() == block[r - 1].tobytes(), (m, theta, r)
 
     def test_infinite_space_is_negative_binomial(self):
         params = OccupancyParams(INFINITE, 3, 0.4)

@@ -60,7 +60,7 @@ class TestCumulants:
     def test_cumulant_set(self):
         params = OccupancyParams(5, 3, 0.8)
         cs = cumulant_set(params, 4)
-        assert cs.kappas == tuple(cumulant(params, r) for r in (1, 2, 3, 4))
+        assert cs == tuple(cumulant(params, r) for r in (1, 2, 3, 4))
 
     def test_against_maclaurin_derivatives(self):
         # O(h^4) central stencils at the stated step 1e-3
@@ -113,7 +113,7 @@ class TestMomentSummary:
         for (m, k, theta) in [(3, 2, 1.0), (30, 14, 0.6), (200, 200, 0.35),
                               (INFINITE, 4, 0.3), (1, 1, 1.0), (INFINITE, 1, 1.0)]:
             params = OccupancyParams(m, k, theta)
-            k1, k2, k3, k4 = cumulant_set(params, 4).kappas
+            k1, k2, k3, k4 = cumulant_set(params, 4)
             summary = moment_summary(params)
             assert (summary.mean, summary.variance) == (k1, max(k2, 0.0))
             assert (summary.mean, summary.variance) == mean_variance(params)
@@ -277,6 +277,21 @@ class TestGeneratingFunctions:
             generating_function(params, "mgf", math.log(3.0))
         # strictly inside works
         assert generating_function(params, "pgf", 2.9) > 0
+
+    def test_non_finite_arg_names_arg(self):
+        params = OccupancyParams(9, 4, 0.7)
+        for kind in ("pgf", "mgf", "cgf", "cf"):
+            for arg in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match="^arg must be finite$"):
+                    generating_function(params, kind, arg)
+
+    def test_point_mass_exp_overflow_names_argument(self):
+        # the bound of a point mass is infinite; its cgf is 0 up to exp overflow
+        for params in (OccupancyParams(9, 1, 1.0), OccupancyParams(INFINITE, 3, 1.0)):
+            assert generating_function(params, "cgf", 709.0) == 0.0
+            for kind, s in (("mgf", 800.0), ("cgf", 710.0)):
+                with pytest.raises(DomainError, match=f"^{kind} argument is too large"):
+                    generating_function(params, kind, s)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):

@@ -122,6 +122,15 @@ CASES.update({
     "err-pgf-bound": ["gfun", "--m", "3", "--k", "2", "--theta", "1",
                       "--kind", "pgf", "--arg", "3"],
     "err-mgf-bound": ["gfun", *_SMALL, "--kind", "mgf", "--arg", "5"],
+    "err-gfun-arg-nan": ["gfun", *_SMALL, "--kind", "cf", "--arg", "nan"],
+    "err-gfun-arg-inf-json": ["gfun", *_SMALL, "--kind", "cf", "--arg", "inf", *_JSON],
+    "err-gfun-arg-minus-inf": ["gfun", *_SMALL, "--kind", "mgf", "--arg=-inf"],
+    "err-mgf-point-mass": ["gfun", "--m", "9", "--k", "1", "--theta", "1",
+                           "--kind", "mgf", "--arg", "800"],
+    "err-cgf-point-mass": ["gfun", "--m", "9", "--k", "1", "--theta", "1",
+                           "--kind", "cgf", "--arg", "710"],
+    "err-mgf-point-mass-inf": ["gfun", "--m", "inf", "--k", "3", "--theta", "1",
+                               "--kind", "mgf", "--arg", "800"],
     "err-r-inf-pmf": ["pmf", *_INF, "--r", "1"],
     "err-r-inf-sample": ["sample", *_INF, "--r", "1", "--n", "5"],
     "err-r-inf-moments": ["moments", *_INF, "--r", "1"],
