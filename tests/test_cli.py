@@ -19,6 +19,17 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def run_python(script, **kwargs):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ``src``, installed or not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": path}, **kwargs,
+    )
+
+
 class TestPmfCommand:
     def test_csv_small_convolution(self, capsys):
         code, out, err = run(
@@ -468,12 +479,8 @@ class TestConsoleScript:
             "sys.exit(execute(['sample', '--m', '6', '--k', '3', '--theta', "
             "'0.8', '--n', '10', '--seed', '42']))"
         )
-        first = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, check=True
-        )
-        second = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, check=True
-        )
+        first = run_python(script)
+        second = run_python(script)
         assert first.stdout == second.stdout
         assert first.stdout.startswith(b"value\n")
 
@@ -493,10 +500,5 @@ class TestImportPath:
             "print(json.dumps([codes, 'mpmath' in sys.modules,\n"
             "                  'negocc.oracles' in sys.modules]))\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            check=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        done = run_python(script, text=True)
         assert json.loads(done.stdout) == [[0, 0, 0, 0], False, False]
