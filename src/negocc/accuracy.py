@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, WorkBudgetError
 from .exact import log_pmf_block
-from .gamma_approx import _moment_log_pmf
+from .gamma_approx import _log_pmf_cells
 from .moments import mean_variance
 from .numerics import harmonic_power_sums
 from .params import OccupancyParams
@@ -103,6 +103,24 @@ def estimate_block_work(M: int, theta: float) -> float:
     return sum(_block_work(M, theta), 0.0)
 
 
+#: Gamma grid points per kernel call in :func:`rse_block`.  One call covers
+#: many cells of one m, and the ragged grid's temporaries stay bounded
+#: however large m grows: at M = 1000, a grid per m would hold 686k points.
+_GRID_CHUNK = 1 << 15
+
+
+def _cell_chunks(points):
+    """Slices of consecutive cells whose grids of ``points`` add up to at
+    most _GRID_CHUNK points; a cell larger than that makes a chunk alone."""
+    ends = np.cumsum(points)
+    start = 0
+    while start < len(ends):
+        limit = (ends[start - 1] if start else 0) + _GRID_CHUNK
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        yield slice(start, stop)
+        start = stop
+
+
 def rse_block(
     M: int,
     theta: float,
@@ -111,15 +129,17 @@ def rse_block(
 ) -> list:
     """RSE reports for every 0 < k <= m <= M.
 
-    Each m costs one exact block up to max_k T(m, k) plus one gamma
-    approximation per k, both read from one moment table per m.  Requests
-    whose estimated work exceeds ``budget`` (a non-negative number;
-    ``inf`` disables the check) are refused up front; the count stops at
-    the first m that passes the budget, so the error carries the work
-    counted so far, a lower bound on the estimate.  When ``sink`` is given
-    it receives the list of reports for each m as soon as that m
-    completes, so partial progress survives interruption of large blocks;
-    reports are emitted in (m, k) order either way.
+    Each m costs one exact block up to max_k T(m, k) and one gamma-kernel
+    pass over the grids of all its k cells (one per _GRID_CHUNK points),
+    both read from one moment table per m; each cell's RSE is one sum over
+    its own slice, so a report has the same bits as :func:`rse` of that
+    cell alone.  Requests whose estimated work exceeds ``budget`` (a
+    non-negative number; ``inf`` disables the check) are refused up front;
+    the count stops at the first m that passes the budget, so the error
+    carries the work counted so far, a lower bound on the estimate.  When
+    ``sink`` is given it receives the list of reports for each m as soon
+    as that m completes, so partial progress survives interruption of
+    large blocks; reports are emitted in (m, k) order either way.
     """
     if not budget >= 0.0:  # NaN fails the comparison too
         raise DomainError("budget must satisfy budget >= 0")
@@ -130,14 +150,21 @@ def rse_block(
     reports: list = []
     for m in range(1, M + 1):
         means, variances, cuts = _moment_table(m, theta)
+        cuts = cuts.astype(int)
         block = log_pmf_block(m, theta, m, int(cuts.max()))
-        cells = zip(means.tolist(), variances.tolist(), cuts.astype(int).tolist())
-        rows = []
-        for k, (mean, variance, t_cut) in enumerate(cells, start=1):
-            exact = np.exp(block[k - 1, : t_cut + 1])
-            approx = np.exp(_moment_log_pmf(mean, variance, t_cut))
-            rows.append(RseReport(m=m, k=k, theta=theta, truncation=t_cut,
-                                  rse=rse(exact, approx)))
+        sums = []
+        for cells in _cell_chunks(cuts + 2):
+            approx = _log_pmf_cells(means[cells].tolist(), variances[cells].tolist(),
+                                    cuts[cells])
+            # each cell's prefix block[k-1, :T+1], end to end, as approx has them
+            part = block[cells]
+            exact = part[np.arange(part.shape[1]) <= cuts[cells, np.newaxis]]
+            squares = (np.exp(exact) - np.exp(approx)) ** 2
+            ends = np.cumsum(cuts[cells] + 1).tolist()
+            sums += [np.sum(squares[start:end]) for start, end in zip([0] + ends, ends)]
+        rows = [RseReport(m=m, k=k, theta=theta, truncation=t_cut, rse=float(value))
+                for k, (t_cut, value) in enumerate(zip(cuts.tolist(), np.sqrt(sums)),
+                                                   start=1)]
         reports.extend(rows)
         if sink is not None:
             sink(rows)

@@ -99,24 +99,36 @@ def _json_safe(value):
 
 
 def _emit_json(out: _Output, params: dict, method: str, values):
-    payload = {"params": params, "method": method, "values": _json_safe(values)}
-    out.line(json.dumps(payload))
+    out.line(json.dumps({"params": params, "method": method, "values": values}))
+
+
+def _json_cells(column: np.ndarray) -> list:
+    """``column.tolist()`` with its infinities spelled as in :func:`_json_safe`."""
+    cells = column.tolist()
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(np.isinf(column)).tolist():
+            cells[i] = "-inf" if cells[i] < 0 else "inf"
+    return cells
 
 
 #: Rows formatted per write, so CSV output memory does not grow with the table.
 _CSV_CHUNK_ROWS = 1 << 16
 
 
-def _emit_table(out: _Output, ns, params_desc, method, header, *columns):
-    """Equal-length columns as CSV rows, or as JSON: a plain list for one
-    column, ``[row, ...]`` for several."""
+def _emit_table(out: _Output, ns, params_desc, method, header, chunks):
+    """A table given as chunks, each a tuple of equal-length columns: CSV
+    rows, or JSON with a plain list for one column and ``[row, ...]`` for
+    several."""
     if ns.format == "json":
-        values = [column.tolist() for column in columns]
-        _emit_json(out, params_desc, method,
-                   values[0] if len(values) == 1 else list(zip(*values)))
+        values = []
+        for chunk in chunks:
+            cells = [_json_cells(column) for column in chunk]
+            values.extend(cells[0] if len(cells) == 1 else zip(*cells))
+        _emit_json(out, params_desc, method, values)
         return
     out.line(header)
-    _write_rows(out, *columns)
+    for chunk in chunks:
+        _write_rows(out, *chunk)
 
 
 def _write_rows(out: _Output, *columns):
@@ -127,6 +139,19 @@ def _write_rows(out: _Output, *columns):
         chunk = [c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns]
         cells = tuple(itertools.chain.from_iterable(zip(*chunk)))
         out.line("\n".join([row] * len(chunk[0])) % cells)
+
+
+def _block_chunks(block: np.ndarray, log: bool):
+    """(t, r, value) columns of a (k, tmax+1) block, t outermost, in chunks
+    of about _CSV_CHUNK_ROWS rows; only one chunk is copied at a time."""
+    k, width = block.shape
+    step = max(_CSV_CHUNK_ROWS // k, 1)
+    for start in range(0, width, step):
+        values = block[:, start:start + step].T.ravel()  # t-major
+        if not log:
+            values = np.exp(values)
+        ts = np.arange(start, start + values.size // k)
+        yield np.repeat(ts, k), np.tile(np.arange(1, k + 1), ts.size), values
 
 
 def _describe(ns, **extra) -> dict:
@@ -157,37 +182,37 @@ def _run_pmf(ns, out: _Output) -> None:
             raise DomainError("--block output requires --method exact")
         if params.is_infinite:
             raise DomainError("--block output requires finite m")
-        method = "exact"
         # rows are occupancies; the table runs over t first, then r
-        values = exact.log_pmf_block(int(params.m), params.theta, params.k, tmax).T
-        t, r = np.indices(values.shape).reshape(2, -1)
-        header, columns = "t,r,value", [t, r + 1]
+        block = exact.log_pmf_block(int(params.m), params.theta, params.k, tmax)
+        _emit_table(out, ns, _describe(ns), "exact", "t,r,value",
+                    _block_chunks(block, ns.log))
+        return
+    method = ns.method
+    if method == "auto":
+        method = "exact" if params.m <= _AUTO_EXACT_MAX_M else "gamma"
+    if method == "exact":
+        values = exact.log_pmf_vector(params, tmax)
     else:
-        method = ns.method
-        if method == "auto":
-            method = "exact" if params.m <= _AUTO_EXACT_MAX_M else "gamma"
-        if method == "exact":
-            values = exact.log_pmf_vector(params, tmax)
-        else:
-            values = gamma_approx.approx_log_pmf(params, tmax)
-        header, columns = "t,value", [np.arange(tmax + 1)]
+        values = gamma_approx.approx_log_pmf(params, tmax)
     if not ns.log:
         values = np.exp(values)  # rebound: the log-space array is freed before output
-    _emit_table(out, ns, _describe(ns), method, header, *columns, values.ravel())
+    _emit_table(out, ns, _describe(ns), method, "t,value",
+                [(np.arange(tmax + 1), values)])
 
 
 def _run_cdf(ns, out: _Output) -> None:
     params = _effective_params(ns)
     tmax = _default_tmax(ns, params)
     values = exact.cdf_vector(params, tmax)
-    _emit_table(out, ns, _describe(ns), "exact", "t,value", np.arange(tmax + 1), values)
+    _emit_table(out, ns, _describe(ns), "exact", "t,value",
+                [(np.arange(tmax + 1), values)])
 
 
 def _run_quantile(ns, out: _Output) -> None:
     params = _effective_params(ns)
     t = exact.quantile(params, ns.p)
     _emit_table(out, ns, _describe(ns, p=ns.p), "exact", "p,value",
-                np.array([ns.p]), np.array([t]))
+                [(np.array([ns.p]), np.array([t]))])
 
 
 def _run_sample(ns, out: _Output) -> None:
@@ -196,7 +221,7 @@ def _run_sample(ns, out: _Output) -> None:
     )
     draws = sampler.sample_negocc(config)
     desc = _describe(ns, n=ns.n, seed=ns.seed)
-    _emit_table(out, ns, desc, "simulation", "value", draws)
+    _emit_table(out, ns, desc, "simulation", "value", [(draws,)])
 
 
 def _run_moments(ns, out: _Output) -> None:
@@ -207,7 +232,7 @@ def _run_moments(ns, out: _Output) -> None:
         values = {"mean": summary.mean, "variance": summary.variance}
         values["skewness"] = summary.skewness
         values["kurtosis"] = summary.kurtosis
-        _emit_json(out, desc, "analytic", values)
+        _emit_json(out, desc, "analytic", _json_safe(values))
         return
     out.line("stat,value")
     out.line(f"mean,{_fmt(summary.mean)}")
@@ -226,7 +251,7 @@ def _run_gfun(ns, out: _Output) -> None:
             payload = {"real": value.real, "imag": value.imag}
         else:
             payload = value
-        _emit_json(out, desc, "analytic", payload)
+        _emit_json(out, desc, "analytic", _json_safe(payload))
         return
     out.line("kind,arg,value")
     out.line(f"{ns.kind},{_fmt(ns.arg)},{_fmt(value)}")
@@ -258,7 +283,7 @@ def _run_rse_block(ns, out: _Output) -> None:
         fields = ("m", "max_rse", "mean_rse", "diag_rse")
         rows = accuracy.rse_summaries(rows)
     _emit_table(out, ns, {"M": ns.m, "theta": ns.theta}, "rse-block",
-                ",".join(fields), *_report_columns(rows, fields))
+                ",".join(fields), [_report_columns(rows, fields)])
 
 
 # -- parser -------------------------------------------------------------------

@@ -14,6 +14,7 @@ O(T) stable scan instead of an O(T^2) convolution.  Infinite m short-cuts
 to the negative binomial law.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -34,39 +35,45 @@ __all__ = [
 ]
 
 
-def _geometric_log_column(theta: float, tmax: int) -> np.ndarray:
-    # base case: L(t, 1) = log(theta) + t*log(1 - theta)
+def _geometric_log_column(theta: float, ts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # base case: L(t, 1) = log(theta) + t*log(1 - theta), written into out
     if theta == 1.0:
-        col = np.full(tmax + 1, NEG_INF)
-        col[0] = 0.0
-        return col
-    ts = np.arange(tmax + 1)
-    return math.log(theta) + ts * math.log1p(-theta)
+        out.fill(NEG_INF)
+        out[0] = 0.0
+        return out
+    np.multiply(ts, math.log1p(-theta), out=out)
+    return np.add(math.log(theta), out, out=out)
 
 
-def _next_log_column(col: np.ndarray, m: int, theta: float, r: int) -> np.ndarray:
-    """Column for occupancy r+1 from the column for occupancy r."""
+def _next_log_column(col, m: int, theta: float, r: int, ts, spare, out) -> np.ndarray:
+    """Column for occupancy r+1 from the column for occupancy r, written
+    into ``out``; ``ts`` is the float grid 0..T and ``spare`` an array of
+    its size that the call overwrites."""
     coeff = theta * (m - r) / m
     decay = 1.0 - coeff
     if decay == 0.0:
         # L_r = -inf: the logsumexp collapses to its j = 0 term.  Cannot
         # occur for theta <= 1 and r >= 1, but keeps the operation total.
-        return math.log(coeff) + col
-    log_decay = math.log(decay)
-    ts = np.arange(col.size)
-    running = np.logaddexp.accumulate(col - ts * log_decay)
-    out = math.log(coeff) + ts * log_decay + running
-    return np.minimum(out, 0.0)  # rounding guard: log-probabilities
+        return np.add(math.log(coeff), col, out=out)
+    shift = np.multiply(ts, math.log(decay), out=spare)
+    np.subtract(col, shift, out=out)
+    running = np.logaddexp.accumulate(out, out=out)
+    np.add(math.log(coeff), shift, out=shift)
+    np.add(shift, running, out=out)
+    return np.minimum(out, 0.0, out=out)  # rounding guard: log-probabilities
 
 
-def _log_columns(m: int, theta: float, k: int, tmax: int):
-    """Columns r = 1..k of the recursion, in turn; each one is built from
-    the one before, so a consumer that keeps only the last never holds
-    more than two."""
-    col = _geometric_log_column(theta, tmax)
+def _log_columns(m: int, theta: float, tmax: int, rows):
+    """Columns r = 1, 2, ... of the recursion, each written into the next
+    array of ``rows`` and yielded in turn.  Column r+1 reads only column
+    r, so ``rows`` may alternate between two buffers."""
+    ts = np.arange(tmax + 1, dtype=float)
+    spare = np.empty(tmax + 1)
+    rows = iter(rows)
+    col = _geometric_log_column(theta, ts, next(rows))
     yield col
-    for r in range(1, k):
-        col = _next_log_column(col, m, theta, r)
+    for r, out in enumerate(rows, start=1):
+        col = _next_log_column(col, m, theta, r, ts, spare, out)
         yield col
 
 
@@ -84,8 +91,8 @@ def log_pmf_block(m: int, theta: float, k: int, tmax: int) -> np.ndarray:
         raise DomainError("log_pmf_block requires finite m")
     check_tmax(tmax)
     block = np.empty((k, tmax + 1))
-    for row, col in zip(block, _log_columns(m, params.theta, k, tmax)):
-        row[:] = col
+    for _ in _log_columns(m, params.theta, tmax, block):
+        pass  # each row is written in place
     block.setflags(write=False)
     return block
 
@@ -119,7 +126,9 @@ def log_pmf_vector(params: OccupancyParams, tmax: int) -> np.ndarray:
     check_tmax(tmax)
     if params.is_infinite:
         return _negbin_log_pmf(params.k, params.theta, np.arange(tmax + 1, dtype=float))
-    for col in _log_columns(int(params.m), params.theta, params.k, tmax):
+    buffers = itertools.cycle((np.empty(tmax + 1), np.empty(tmax + 1)))
+    rows = itertools.islice(buffers, params.k)
+    for col in _log_columns(int(params.m), params.theta, tmax, rows):
         pass  # only the last column, r = k, is wanted
     return col
 

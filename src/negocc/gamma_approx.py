@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .moments import mean_variance
-from .numerics import NEG_INF, gamma_log_cdf_grid, log_diff_grid
+from .numerics import NEG_INF, _gamma_log_cdf, gamma_log_cdf_grid, log_diff_grid
 from .params import OccupancyParams, check_tmax
 
 __all__ = [
@@ -62,18 +62,46 @@ def approx_log_pmf(params: OccupancyParams, tmax: int) -> np.ndarray:
     the point mass at t = 0, otherwise each entry is the log-CDF
     difference of the matched gamma law over [t, t+1).
     """
-    return _moment_log_pmf(*mean_variance(params), check_tmax(tmax))
+    mean, variance = mean_variance(params)
+    return _log_pmf_cells([mean], [variance], [check_tmax(tmax)])
 
 
-def _moment_log_pmf(mean: float, variance: float, tmax: int) -> np.ndarray:
-    """:func:`approx_log_pmf` from the mean and variance it matches."""
-    if variance == 0.0:
-        out = np.full(tmax + 1, NEG_INF)
-        out[0] = 0.0
-        return out
-    gp = approx_params(mean, variance)
-    grid = gamma_log_cdf_grid(np.arange(tmax + 2, dtype=float), gp.alpha, gp.beta)
-    return log_diff_grid(grid[1:], grid[:-1])
+def _log_pmf_cells(means, variances, tmaxes) -> np.ndarray:
+    """:func:`approx_log_pmf` of several cells, one after another in one
+    array: cell i, of the given mean and variance, fills the next
+    tmaxes[i]+1 entries with its values at t = 0..tmaxes[i].
+
+    The grid points 0..T+1 of every gamma cell, with that cell's shape and
+    rate repeated over them, go through one kernel call and one
+    :func:`log_diff_grid`, and the differences that straddle two cells are
+    dropped.  Both act point by point, so each cell gets the same bits as
+    it would alone; a single cell takes the scalar kernel.
+    """
+    sizes = np.array(tmaxes) + 1
+    fitted = np.array(variances) != 0.0
+    fits = [approx_params(mean, variance)
+            for mean, variance, fit in zip(means, variances, fitted) if fit]
+    # the grids are built in the calls, so they are freed before the differences
+    if len(fits) == 1:
+        grid = gamma_log_cdf_grid(np.arange(sizes[fitted][0] + 1, dtype=float),
+                                  fits[0].alpha, fits[0].beta)
+        values = log_diff_grid(grid[1:], grid[:-1])
+    elif fits:
+        points = sizes[fitted] + 1
+        ends = np.cumsum(points)
+        grid = _gamma_log_cdf(
+            np.arange(ends[-1], dtype=float) - np.repeat(ends - points, points),
+            np.repeat([gp.alpha for gp in fits], points),
+            np.repeat([gp.beta for gp in fits], points),
+        )
+        values = np.delete(log_diff_grid(grid[1:], grid[:-1]), ends[:-1] - 1)
+    if fitted.all():
+        return values
+    out = np.full(sizes.sum(), NEG_INF)
+    out[(np.cumsum(sizes) - sizes)[~fitted]] = 0.0  # point masses at t = 0
+    if fits:
+        out[np.repeat(fitted, sizes)] = values
+    return out
 
 
 def approx_pmf(params: OccupancyParams, tmax: int) -> np.ndarray:

@@ -203,7 +203,8 @@ def generating_function(params: OccupancyParams, kind: str, arg: float):
     arguments outside their domain of convergence raise a domain error
     naming the bound.  A non-finite ``arg`` is a domain error, and so is an
     mgf/cgf s whose exp(s) overflows (only a point mass, whose bound is
-    infinite, admits one).
+    infinite, admits one), and so is a pgf/mgf value past the double
+    range, whose log the cgf still gives.
     """
     if kind not in GENERATING_FUNCTION_KINDS:
         raise DomainError(f"kind must be one of {GENERATING_FUNCTION_KINDS}")
@@ -228,16 +229,22 @@ def generating_function(params: OccupancyParams, kind: str, arg: float):
     else:  # cf: |exp(i*s)| = 1 lies inside the pgf disc for every real s
         transformed = cmath.exp(1j * arg)
 
-    if params.is_infinite:
-        # negative binomial closed form (theta / (1 - (1-theta)*z))**k
-        if kind == "cgf":
-            return k * (math.log(theta) - math.log(1.0 - (1.0 - theta) * transformed))
-        return (theta / (1.0 - (1.0 - theta) * transformed)) ** k
+    try:
+        if params.is_infinite:
+            # negative binomial closed form (theta / (1 - (1-theta)*z))**k
+            if kind == "cgf":
+                return k * (math.log(theta) - math.log(1.0 - (1.0 - theta) * transformed))
+            return (theta / (1.0 - (1.0 - theta) * transformed)) ** k
 
-    log_sum = k * math.log(theta) + _log_factors(params, transformed)
-    if kind == "cgf":
-        return float(log_sum)
-    return cmath.exp(log_sum) if isinstance(log_sum, complex) else math.exp(log_sum)
+        log_sum = k * math.log(theta) + _log_factors(params, transformed)
+        if kind == "cgf":
+            return float(log_sum)
+        return cmath.exp(log_sum) if isinstance(log_sum, complex) else math.exp(log_sum)
+    except OverflowError:  # only a pgf/mgf value: its log, the cgf, is finite
+        at = " at s = log(z)" if kind == "pgf" else ""
+        raise DomainError(
+            f"{kind} value overflows a double; --kind cgf{at} gives its log"
+        ) from None
 
 
 def cgf_maclaurin(params: OccupancyParams, s: float, n_terms: int) -> float:

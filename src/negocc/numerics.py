@@ -140,7 +140,32 @@ def gamma_log_cdf_grid(x, shape: float, rate: float) -> np.ndarray:
     ``-inf``.  A shape too large for that series to converge near the mean
     (above about 1e10) is a domain error.
     """
-    if shape <= 0.0 or rate <= 0.0:
+    return _gamma_log_cdf(x, float(shape), float(rate))
+
+
+def _per_shape(f, shape):
+    """f of a scalar shape, or of each point's shape, evaluated once per
+    distinct shape: the tail's shape constants cost O(sqrt(shape)) each."""
+    if np.ndim(shape) == 0:
+        return f(shape)
+    distinct, where = np.unique(shape, return_inverse=True)
+    return np.array([f(a) for a in distinct.tolist()])[where]
+
+
+def _tail_anchor(a: float) -> float:
+    """log z**a e**-z / Gamma(a+1) at z = a, from the same series over
+    P(a, a), so that a*log(z) does not cancel near the mean."""
+    from scipy.special import gammainc, hyp1f1
+
+    return math.log(gammainc(a, a)) - math.log(hyp1f1(1.0, a + 1.0, a))
+
+
+def _gamma_log_cdf(x, shape, rate) -> np.ndarray:
+    """:func:`gamma_log_cdf_grid` with ``shape`` and ``rate`` either
+    scalars or arrays of x's size, taken point by point.  scipy's kernels
+    are ufuncs, so each point gets the same bits as in a scalar call; a
+    scalar call builds no shape-sized array."""
+    if np.any(shape <= 0.0) or np.any(rate <= 0.0):
         raise DomainError("shape and rate must be positive")
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -150,28 +175,32 @@ def gamma_log_cdf_grid(x, shape: float, rate: float) -> np.ndarray:
     # imported here: at module level scipy.special doubles the CLI's start-up
     from scipy.special import gammainc, gammaincc, hyp1f1
 
+    def at(values, mask):
+        return values if np.ndim(values) == 0 else values[mask]
+
     z = rate * x
     p = gammainc(shape, z)
     with np.errstate(divide="ignore"):
         out = np.log(p)
     upper = p >= 0.5
-    out[upper] = np.log1p(-gammaincc(shape, z[upper]))
-    floor = _P_UNDERFLOW if shape < _CAPPED_SHAPE else _P_CAPPED
+    out[upper] = np.log1p(-gammaincc(at(shape, upper), z[upper]))
+    floor = np.where(shape < _CAPPED_SHAPE, _P_UNDERFLOW, _P_CAPPED)
     tail = (p < floor) & (z > 0.0)
     if tail.any():
-        a, zt = shape, z[tail]
+        a, zt = at(shape, tail), z[tail]
         # log of the leading factor z**a e**-z / Gamma(a+1); within a factor
-        # of two of a it is taken from its value at z = a (the same series
-        # over P(a, a)), so that a*log(z) does not cancel
-        lead = a * np.log(zt) - zt - math.lgamma(a + 1.0)
+        # of two of a it is taken relative to its value at z = a
+        lead = a * np.log(zt) - zt - _per_shape(lambda s: math.lgamma(s + 1.0), a)
         near = zt >= 0.5 * a
         if near.any():
-            zn = zt[near]
-            at_shape = math.log(gammainc(a, a)) - math.log(hyp1f1(1.0, a + 1.0, a))
-            lead[near] = at_shape + a * np.log1p((zn - a) / a) - (zn - a)
+            an, zn = at(a, near), zt[near]
+            lead[near] = (_per_shape(_tail_anchor, an)
+                          + an * np.log1p((zn - an) / an) - (zn - an))
         out[tail] = lead + np.log(hyp1f1(1.0, a + 1.0, zt))
-        if np.isnan(out[tail]).any():
+        failed = np.isnan(out[tail])
+        if failed.any():
+            worst = np.broadcast_to(a, failed.shape)[failed].max()
             raise DomainError(
-                f"shape is too large for the incomplete gamma series: {shape:.6g}"
+                f"shape is too large for the incomplete gamma series: {worst:.6g}"
             )
     return out

@@ -73,18 +73,48 @@ class TestRseBlock:
         assert reports == [RseReport(m=1, k=1, theta=1.0, truncation=0, rse=0.0)]
 
     def test_rows_match_direct_computation(self):
-        reports = rse_block(6, 0.8)
-        assert [(r.m, r.k) for r in reports] == [
-            (m, k) for m in range(1, 7) for k in range(1, m + 1)
-        ]
-        for rep in reports:
-            params = OccupancyParams(rep.m, rep.k, rep.theta)
-            assert rep.truncation == truncation_point(params)
-            direct = rse(
-                pmf_vector(params, rep.truncation),
-                approx_pmf(params, rep.truncation),
-            )
-            np.testing.assert_allclose(rep.rse, direct, rtol=1e-12, atol=1e-15)
+        # bit for bit: one kernel pass per m gives each cell its own bits
+        for theta in (1.0, 0.6, 0.05):
+            reports = rse_block(8, theta)
+            assert [(r.m, r.k) for r in reports] == [
+                (m, k) for m in range(1, 9) for k in range(1, m + 1)
+            ]
+            for rep in reports:
+                params = OccupancyParams(rep.m, rep.k, rep.theta)
+                assert rep.truncation == truncation_point(params)
+                direct = rse(
+                    pmf_vector(params, rep.truncation),
+                    approx_pmf(params, rep.truncation),
+                )
+                assert rep.rse == direct, (rep, direct)
+
+    def test_one_kernel_call_per_m(self, monkeypatch):
+        import negocc.accuracy
+        import negocc.gamma_approx
+        import negocc.numerics
+
+        calls = []
+        kernel = negocc.numerics._gamma_log_cdf
+
+        def counted(x, shape, rate):
+            calls.append(np.size(x))
+            return kernel(x, shape, rate)
+
+        expected = rse_block(9, 0.6)
+        for module in (negocc.numerics, negocc.gamma_approx):
+            monkeypatch.setattr(module, "_gamma_log_cdf", counted)
+        assert rse_block(9, 0.6) == expected
+        assert len(calls) <= 9
+        assert sum(calls) == sum(r.truncation + 2 for r in expected)
+        # a small chunk splits each m's cells over several calls, same bits;
+        # only a cell past the chunk is a call alone
+        calls.clear()
+        monkeypatch.setattr(negocc.accuracy, "_GRID_CHUNK", 40)
+        assert rse_block(9, 0.6) == expected
+        assert len(calls) > 9
+        assert sum(calls) == sum(r.truncation + 2 for r in expected)
+        lone = {r.truncation + 2 for r in expected}
+        assert all(n <= 40 or n in lone for n in calls)
 
     def test_bit_exact_reproducibility(self):
         assert rse_block(8, 0.6) == rse_block(8, 0.6)

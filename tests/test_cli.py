@@ -362,6 +362,21 @@ class TestOtherCommands:
         assert err == (f"negocc: error: {kind} argument is too large: "
                        "exp(s) overflows a double\n")
 
+    @pytest.mark.parametrize("m, kind, arg, hint", [
+        ("100000", "mgf", "0.69", "cgf"),
+        ("inf", "mgf", "0.69", "cgf"),
+        ("inf", "pgf", "1.99", "cgf at s = log(z)"),
+    ], ids=["mgf", "mgf-inf", "pgf-inf"])
+    def test_gfun_value_overflow_names_cause(self, capsys, m, kind, arg, hint):
+        # inside the domain the value passes the double range; its log does not
+        triple = ["--m", m, "--k", "300", "--theta", "0.5"]
+        code, out, err = run(capsys, "gfun", *triple, "--kind", kind, "--arg", arg)
+        assert code == 2 and out == ""
+        assert err == (f"negocc: error: {kind} value overflows a double; "
+                       f"--kind {hint} gives its log\n")
+        code, out, _ = run(capsys, "gfun", *triple, "--kind", "cgf", "--arg", "0.69")
+        assert code == 0 and math.isfinite(float(out.splitlines()[1].split(",")[2]))
+
     def test_tiny_theta_names_theta(self, capsys):
         code, out, err = run(capsys, "pmf", "--m", "5", "--k", "2", "--theta", "1e-300")
         assert code == 2 and out == ""

@@ -293,6 +293,18 @@ class TestGeneratingFunctions:
                 with pytest.raises(DomainError, match=f"^{kind} argument is too large"):
                     generating_function(params, kind, s)
 
+    def test_value_overflow_names_cause(self):
+        # the mgf/pgf value passes the double range inside the domain, where
+        # the cgf, its log, is still finite
+        for m in (100000, INFINITE):
+            params = OccupancyParams(m, 300, 0.5)
+            assert math.isfinite(generating_function(params, "cgf", 0.69))
+            with pytest.raises(DomainError, match="^mgf value overflows a double; "
+                                                  "--kind cgf gives its log$"):
+                generating_function(params, "mgf", 0.69)
+        with pytest.raises(DomainError, match="^pgf value overflows a double"):
+            generating_function(OccupancyParams(INFINITE, 300, 0.5), "pgf", 1.99)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             generating_function(OccupancyParams(3, 2, 1.0), "laplace", 1.0)

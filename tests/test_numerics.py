@@ -412,6 +412,42 @@ class TestGammaLogCdf:
         with pytest.raises(DomainError, match="shape is too large"):
             gamma_log_cdf_grid(shape - 5.0 * math.sqrt(shape), shape, 1.0)
 
+    def test_ragged_call_matches_scalar_calls(self):
+        # shapes on both sides of the capped-series switch, each over its
+        # deep lower tail, the mean and the upper tail, in one call
+        from negocc.numerics import _CAPPED_SHAPE, _gamma_log_cdf
+
+        shapes = [3.7, 40.0, 900.0, 0.5 * _CAPPED_SHAPE, 1.2 * _CAPPED_SHAPE, 2e5]
+        rates = [0.7, 1.0, 2.5, 1.0, 0.3, 1.0]
+        segments = []
+        for shape, rate in zip(shapes, rates):
+            sd = math.sqrt(shape)
+            z = np.concatenate([[0.0, 1e-3 * shape, 0.1 * shape, 0.6 * shape],
+                                shape + sd * np.linspace(-12.0, 12.0, 25)])
+            segments.append(np.maximum(z, 0.0) / rate)
+        lengths = [seg.size for seg in segments]
+        got = _gamma_log_cdf(np.concatenate(segments),
+                             np.repeat(shapes, lengths), np.repeat(rates, lengths))
+        pieces = np.split(got, np.cumsum(lengths)[:-1])
+        for seg, piece, shape, rate in zip(segments, pieces, shapes, rates):
+            scalar = gamma_log_cdf_grid(seg, shape, rate)
+            assert piece.tobytes() == scalar.tobytes(), shape
+            assert np.any(np.exp(scalar) < 1e-5)  # the tail series ran
+
+    def test_ragged_call_keeps_the_checks(self):
+        from negocc.numerics import _gamma_log_cdf
+
+        with pytest.raises(DomainError, match="shape and rate"):
+            _gamma_log_cdf(np.ones(2), np.array([1.0, 0.0]), np.ones(2))
+        with pytest.raises(DomainError, match="shape and rate"):
+            _gamma_log_cdf(np.ones(2), np.ones(2), np.array([1.0, -1.0]))
+        with pytest.raises(DomainError, match="non-negative"):
+            _gamma_log_cdf(np.array([1.0, -1.0]), np.ones(2), np.ones(2))
+        with pytest.raises(DomainError, match="too large .*: 1e\\+11$"):
+            shape = 1e11
+            _gamma_log_cdf(np.array([1.0, shape - 5.0 * math.sqrt(shape)]),
+                           np.array([2.0, shape]), np.ones(2))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_log_cdf_grid(-1.0, 1.0, 1.0)

@@ -14,8 +14,8 @@ unchanged, byte for byte.
 
 The cases cover every subcommand in CSV and JSON, ``--log``, ``--block``,
 ``--r``, ``m = inf``, ``--method gamma``/``auto`` (also at a gamma shape
-above 600), rse-block ``--summaries``, a CSV table longer than one write
-chunk, and the domain, parse and refusal errors.
+above 600), rse-block ``--summaries`` (also at theta = 0.05), a CSV table
+longer than one write chunk, and the domain, parse and refusal errors.
 """
 
 import argparse
@@ -94,6 +94,10 @@ CASES.update({
     "rse-summaries-csv": ["rse-block", "--m", "7", "--theta", "1", "--summaries"],
     "rse-summaries-json": ["rse-block", "--m", "7", "--theta", "1", "--summaries",
                            *_JSON],
+    "rse-theta-small-summaries": ["rse-block", "--m", "30", "--theta", "0.05",
+                                  "--summaries"],
+    "rse-theta-small-summaries-json": ["rse-block", "--m", "30", "--theta", "0.05",
+                                       "--summaries", *_JSON],
     "rse-refused": ["rse-block", "--m", "200", "--budget", "1000"],
     "rse-refused-huge": ["rse-block", "--m", "1000000"],
     "rse-budget-nan": ["rse-block", "--m", "3", "--budget", "nan"],
@@ -125,6 +129,12 @@ CASES.update({
     "err-gfun-arg-nan": ["gfun", *_SMALL, "--kind", "cf", "--arg", "nan"],
     "err-gfun-arg-inf-json": ["gfun", *_SMALL, "--kind", "cf", "--arg", "inf", *_JSON],
     "err-gfun-arg-minus-inf": ["gfun", *_SMALL, "--kind", "mgf", "--arg=-inf"],
+    "err-mgf-value-overflow": ["gfun", "--m", "100000", "--k", "300", "--theta", "0.5",
+                               "--kind", "mgf", "--arg", "0.69"],
+    "err-mgf-value-overflow-inf": ["gfun", "--m", "inf", "--k", "300", "--theta",
+                                   "0.5", "--kind", "mgf", "--arg", "0.69"],
+    "err-pgf-value-overflow-inf": ["gfun", "--m", "inf", "--k", "300", "--theta",
+                                   "0.5", "--kind", "pgf", "--arg", "1.99"],
     "err-mgf-point-mass": ["gfun", "--m", "9", "--k", "1", "--theta", "1",
                            "--kind", "mgf", "--arg", "800"],
     "err-cgf-point-mass": ["gfun", "--m", "9", "--k", "1", "--theta", "1",
