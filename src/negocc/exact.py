@@ -9,9 +9,14 @@ through
 
 with the per-column constant L_r = log(1 - theta*(m-r)/m).  Writing
 j*L_r + L(t-j, r) = t*L_r + (L(s, r) - s*L_r) with s = t - j turns the
-logsumexp into a running accumulation over s <= t, so each column is one
-O(T) stable scan instead of an O(T^2) convolution.  Infinite m short-cuts
-to the negative binomial law.
+logsumexp into a running log-sum-exp over s <= t, so each column is one
+O(T) scan instead of an O(T^2) convolution.  The scan is cut into segments
+over which the terms rise by at most ``_SEGMENT_RISE`` nats; within one,
+each term is shifted by the segment's reference and the exponentials are
+summed with ``cumsum`` (the shifted log-sum-exp of Blanchard, Higham &
+Higham 2021), so a column costs a few vectorised passes, not one
+``exp``/``log1p`` round trip per point.  Infinite m short-cuts to the
+negative binomial law.
 """
 
 import itertools
@@ -45,19 +50,60 @@ def _geometric_log_column(theta: float, ts: np.ndarray, out: np.ndarray) -> np.n
     return np.add(math.log(theta), out, out=out)
 
 
-def _next_log_column(col, m: int, theta: float, r: int, ts, spare, out) -> np.ndarray:
+#: The terms of one segment of :func:`_log_cumsum_exp` rise at most this
+#: far above its reference, so none of their exponentials overflows.
+_SEGMENT_RISE = 600.0
+
+
+def _log_cumsum_exp(x, out, scratch) -> np.ndarray:
+    """Running log-sum-exp, out[t] = log(sum_{s<=t} exp(x[s])), written into
+    ``out`` (which may be ``x``); ``scratch`` is an array of x's size that
+    the call overwrites.
+
+    A segment starting at ``start`` takes as reference ``ref`` the larger
+    of the running value before it and x[start], and ends before the first
+    t whose prefix maximum exceeds ref + ``_SEGMENT_RISE``.  Inside it no
+    shifted term overflows, every value is at least ``ref`` (so a term that
+    underflows is below exp(-700) of the running total), and the cut points
+    depend only on the prefix of x, so out[t] does not depend on x's length.
+    """
+    peak = np.fmax.accumulate(x, out=scratch)
+    carry = NEG_INF
+    start = 0
+    while start < x.size:
+        ref = max(carry, float(x[start]))
+        # the first point always belongs to the segment
+        rest = peak[start + 1:]
+        end = start + 1 + int(rest.searchsorted(ref + _SEGMENT_RISE, "right"))
+        seg = out[start:end]
+        if ref == NEG_INF:
+            seg.fill(NEG_INF)  # every term so far is exp(-inf) = 0
+        else:
+            np.subtract(x[start:end], ref, out=seg)
+            np.exp(seg, out=seg)
+            seg[0] += math.exp(carry - ref)
+            np.add.accumulate(seg, out=seg)
+            np.log(seg, out=seg)
+            seg += ref
+        carry = float(seg[-1])
+        start = end
+    return out
+
+
+def _next_log_column(col, m: int, theta: float, r: int, ts, spares, out) -> np.ndarray:
     """Column for occupancy r+1 from the column for occupancy r, written
-    into ``out``; ``ts`` is the float grid 0..T and ``spare`` an array of
-    its size that the call overwrites."""
+    into ``out``; ``ts`` is the float grid 0..T and ``spares`` two arrays
+    of its size that the call overwrites."""
     coeff = theta * (m - r) / m
     decay = 1.0 - coeff
     if decay == 0.0:
         # L_r = -inf: the logsumexp collapses to its j = 0 term.  Cannot
         # occur for theta <= 1 and r >= 1, but keeps the operation total.
         return np.add(math.log(coeff), col, out=out)
-    shift = np.multiply(ts, math.log(decay), out=spare)
+    shift, scratch = spares
+    np.multiply(ts, math.log(decay), out=shift)
     np.subtract(col, shift, out=out)
-    running = np.logaddexp.accumulate(out, out=out)
+    running = _log_cumsum_exp(out, out, scratch)
     np.add(math.log(coeff), shift, out=shift)
     np.add(shift, running, out=out)
     return np.minimum(out, 0.0, out=out)  # rounding guard: log-probabilities
@@ -68,12 +114,12 @@ def _log_columns(m: int, theta: float, tmax: int, rows):
     array of ``rows`` and yielded in turn.  Column r+1 reads only column
     r, so ``rows`` may alternate between two buffers."""
     ts = np.arange(tmax + 1, dtype=float)
-    spare = np.empty(tmax + 1)
+    spares = (np.empty(tmax + 1), np.empty(tmax + 1))
     rows = iter(rows)
     col = _geometric_log_column(theta, ts, next(rows))
     yield col
     for r, out in enumerate(rows, start=1):
-        col = _next_log_column(col, m, theta, r, ts, spare, out)
+        col = _next_log_column(col, m, theta, r, ts, spares, out)
         yield col
 
 
@@ -152,7 +198,8 @@ def coupon_collector_pmf_vector(m: int, theta: float, tmax: int) -> np.ndarray:
 def cdf_vector(params: OccupancyParams, tmax: int) -> np.ndarray:
     """CDF over t = 0..tmax, accumulated in log-space then exponentiated."""
     logs = log_pmf_vector(params, tmax)
-    return np.clip(np.exp(np.logaddexp.accumulate(logs)), 0.0, 1.0)
+    running = _log_cumsum_exp(logs, logs, np.empty_like(logs))
+    return np.clip(np.exp(running), 0.0, 1.0)
 
 
 def cdf(params: OccupancyParams, t: int) -> float:

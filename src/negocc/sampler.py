@@ -23,6 +23,9 @@ __all__ = ["SampleConfig", "sample_negocc", "empirical_pmf"]
 #: Uniforms per chunk (32 MiB of doubles); a chunk holds at least one draw.
 _CHUNK_DOUBLES = 1 << 22
 
+#: The largest uniform ``Generator.random`` returns; it gives the longest wait.
+_LARGEST_UNIFORM = 1.0 - 2.0**-53
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -73,20 +76,28 @@ def _sample_range(seed: int, start: int, count: int, probs: np.ndarray) -> np.nd
     if start:
         bits.advance(start * k)
     u = np.random.Generator(bits).random((count, k))
+    waits = np.log1p(-u, out=u)
+    waits /= _log_failure(probs)
+    return np.floor(waits, out=waits).astype(np.int64).sum(axis=1)
+
+
+def _log_failure(probs: np.ndarray) -> np.ndarray:
     # a certain success (p = 1) divides by -inf: the uniform is consumed,
     # the wait is 0
-    denom = np.array([math.log1p(-p) if p < 1.0 else -math.inf for p in probs])
-    waits = np.log1p(-u, out=u)
-    waits /= denom
-    return np.floor(waits, out=waits).astype(np.int64).sum(axis=1)
+    return np.array([math.log1p(-p) if p < 1.0 else -math.inf for p in probs])
 
 
 def sample_negocc(config: SampleConfig) -> np.ndarray:
     """n draws from the (possibly conditional) negative occupancy law.
 
-    Deterministic in the seed and order-stable by draw index.
+    Deterministic in the seed and order-stable by draw index.  A theta so
+    small that a draw could pass the int64 range is a ``DomainError``.
     """
     probs = _increment_probs(config)
+    with np.errstate(over="ignore"):  # an infinite wait is refused below
+        longest = np.floor(np.log1p(-_LARGEST_UNIFORM) / _log_failure(probs))
+    if math.fsum(longest) >= 2.0**63:
+        raise DomainError("theta is too small to sample: a draw can exceed 2**63 - 1")
     chunk = max(_CHUNK_DOUBLES // probs.size, 1)
     out = np.empty(config.n, dtype=np.int64)
     for start in range(0, config.n, chunk):

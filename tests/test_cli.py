@@ -404,6 +404,20 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == "negocc: error: seed must satisfy seed >= 0\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m, theta", [("5", "1e-19"), ("5", "1e-30"),
+                                          ("5", "5e-324"), ("inf", "1e-18")])
+    def test_sample_theta_too_small_names_theta(self, capsys, m, theta):
+        # a draw could pass the int64 range: refused before drawing, where
+        # it used to print negative or all-zero draws
+        code, out, err = run(
+            capsys, "sample", "--m", m, "--k", "2", "--theta", theta, "--n", "4",
+            "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == ("negocc: error: theta is too small to sample: "
+                       "a draw can exceed 2**63 - 1\n")
+
     def test_sample_rejects_conditioning_at_infinite_m(self, capsys):
         message = "conditioning (--r > 0) requires finite m"
         for command, extra in (("sample", ["--n", "5"]), ("pmf", [])):

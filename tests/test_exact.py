@@ -19,6 +19,7 @@ from negocc import (
     quantile,
     truncation_point,
 )
+from negocc.exact import _log_cumsum_exp
 from negocc.oracles import log_falling_factorial
 
 NEG_INF = float("-inf")
@@ -112,6 +113,96 @@ class TestBlockRecursion:
             log_pmf_block(3, 0.0, 2, 4)
         with pytest.raises(DomainError):
             log_pmf_block(3, 1.0, 2, -1)
+
+
+def _longdouble_log_block(m, theta, k, tmax):
+    """The same column recursion in np.longdouble, with numpy's sequential
+    logaddexp scan: the rows (k, tmax+1) to within a few longdouble ulps."""
+    ts = np.arange(tmax + 1, dtype=np.longdouble)
+    theta = np.longdouble(theta)
+    if theta == 1:
+        col = np.where(ts == 0, np.longdouble(0), np.longdouble(NEG_INF))
+    else:
+        col = np.log(theta) + ts * np.log1p(-theta)
+    rows = [col]
+    for r in range(1, k):
+        coeff = theta * (m - r) / m
+        shift = ts * np.log1p(-coeff)
+        col = np.log(coeff) + shift + np.logaddexp.accumulate(col - shift)
+        rows.append(col)
+    return np.array(rows)
+
+
+_RISE = np.arange(8) * 700.0
+_SCAN_INPUTS = {
+    "leading-neg-inf": np.concatenate([np.full(5, NEG_INF),
+                                       np.linspace(-3.0, 2.0, 20)]),
+    "all-neg-inf": np.full(7, NEG_INF),
+    "one-point": np.array([-2.5]),
+    "rise-700-every-step": _RISE,
+    "rise-then-fall": np.concatenate([_RISE, _RISE[::-1] - 50.0]),
+    "flat": np.full(2000, -1.25),
+    "steady-rise": np.arange(3000) * 0.9,  # the carry matters at each cut
+    "jump-1e4": np.concatenate([np.linspace(-10.0, 0.0, 50),
+                                np.linspace(1e4, 1e4 - 5.0, 50)]),
+    "neg-inf-between": np.array([0.0, NEG_INF, NEG_INF, 3.0, NEG_INF, 800.0]),
+}
+
+
+class TestLogCumsumExp:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(_SCAN_INPUTS))
+    def test_matches_logaddexp_accumulate(self, name):
+        x = _SCAN_INPUTS[name]
+        got = _log_cumsum_exp(x, np.empty_like(x), np.empty_like(x))
+        ref = np.logaddexp.accumulate(x)
+        assert not np.isnan(got).any()
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        finite = np.isfinite(ref)
+        assert np.all(np.abs(got[finite] - ref[finite])
+                      <= 1e-13 * np.maximum(1.0, np.abs(ref[finite])))
+        # in place, and prefix by prefix
+        inplace = x.copy()
+        _log_cumsum_exp(inplace, inplace, np.empty_like(x))
+        assert inplace.tobytes() == got.tobytes()
+        for n in range(1, x.size):
+            head = x[:n].copy()
+            assert _log_cumsum_exp(head, head, np.empty(n)).tobytes() == got[:n].tobytes()
+
+
+class TestPrefixStability:
+    # both triples cut their columns into more than one scan segment at t2
+    @pytest.mark.parametrize("m, k, theta, t2", [
+        (300, 120, 0.02, 60_000),
+        (1000, 1000, 1.0, 3000),
+    ])
+    def test_values_do_not_depend_on_tmax(self, m, k, theta, t2):
+        params = OccupancyParams(m, k, theta)
+        full = log_pmf_vector(params, t2)
+        for t1 in (0, 1, 37, 999, 1000, 2047, t2 // 2, t2 - 1):
+            assert log_pmf_vector(params, t1).tobytes() == full[: t1 + 1].tobytes()
+        cdfs = cdf_vector(params, t2)
+        for t in (0, 1, 999, t2 // 3, t2):
+            assert cdf(params, t) == cdfs[t]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="longdouble is double on this platform")
+class TestAccuracyGate:
+    # at most about 3e6 column updates a case
+    @pytest.mark.parametrize("m, theta, k, tmax", [
+        (40, 0.05, 40, 8466),
+        (300, 0.02, 120, 11027),
+        (1000, 1.0, 1000, 2999),
+        (2000, 0.9, 1500, 1908),
+    ])
+    def test_block_matches_longdouble_recursion(self, m, theta, k, tmax):
+        block = log_pmf_block(m, theta, k, tmax)
+        ref = _longdouble_log_block(m, theta, k, tmax)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(block), finite)
+        err = np.abs(block[finite] - ref[finite]).astype(float)
+        assert np.all(err <= 2e-13 * np.maximum(1.0, np.abs(ref[finite]).astype(float)))
 
 
 class TestPmfVector:

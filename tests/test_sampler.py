@@ -114,6 +114,22 @@ class TestSampleNegocc:
         expected = [sum(map(sample_geometric, probs, row)) for row in u.tolist()]
         assert sample_negocc(config).tolist() == expected
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_theta_draws_fit_int64(self):
+        # the longest draw at theta = 1e-17, m = 5, k = 2 is about 8.3e18,
+        # just inside the int64 range
+        probs = _increment_probs(SampleConfig(OccupancyParams(5, 2, 1e-17), n=1, seed=0))
+        longest = np.floor(np.log1p(-sampler._LARGEST_UNIFORM) / np.log1p(-probs))
+        assert 2.0**62 < math.fsum(longest) < 2.0**63
+        draws = sample_negocc(SampleConfig(OccupancyParams(5, 2, 1e-17), n=400, seed=1))
+        assert draws.min() >= 0
+
+    @pytest.mark.parametrize("m, theta", [(5, 1e-19), (5, 1e-30), (INFINITE, 1e-18)])
+    def test_theta_too_small_to_sample(self, m, theta):
+        config = SampleConfig(OccupancyParams(m, 2, theta), n=4, seed=1)
+        with pytest.raises(DomainError, match="theta is too small to sample"):
+            sample_negocc(config)
+
     def test_seed_changes_stream(self):
         a = sample_negocc(SampleConfig(OccupancyParams(9, 4, 0.7), n=200, seed=1))
         b = sample_negocc(SampleConfig(OccupancyParams(9, 4, 0.7), n=200, seed=2))

@@ -14,8 +14,9 @@ unchanged, byte for byte.
 
 The cases cover every subcommand in CSV and JSON, ``--log``, ``--block``,
 ``--r``, ``m = inf``, ``--method gamma``/``auto`` (also at a gamma shape
-above 600), rse-block ``--summaries`` (also at theta = 0.05), a CSV table
-longer than one write chunk, and the domain, parse and refusal errors.
+above 600), rse-block ``--summaries`` (also at theta = 0.05), a quantile
+over 1000 long exact columns, a CSV table longer than one write chunk, and
+the domain, parse and refusal errors.
 """
 
 import argparse
@@ -67,6 +68,8 @@ CASES.update({
     "pmf-inf": ["pmf", *_INF],
     "cdf-inf-json": ["cdf", *_INF, "--tmax", "10", *_JSON],
     "quantile-inf": ["quantile", *_INF, "--p", "0.7"],
+    "quantile-long-columns": ["quantile", "--m", "1000", "--k", "1000", "--theta", "1",
+                              "--p", "0.999999"],
     "sample-inf": ["sample", *_INF, "--n", "50", "--seed", "1"],
     "moments-inf-json": ["moments", *_INF, *_JSON],
     "gfun-inf-mgf": ["gfun", *_INF, "--kind", "mgf", "--arg", "0.2"],
@@ -98,6 +101,8 @@ CASES.update({
                                   "--summaries"],
     "rse-theta-small-summaries-json": ["rse-block", "--m", "30", "--theta", "0.05",
                                        "--summaries", *_JSON],
+    "rse-theta-small-m40-summaries": ["rse-block", "--m", "40", "--theta", "0.05",
+                                      "--summaries"],
     "rse-refused": ["rse-block", "--m", "200", "--budget", "1000"],
     "rse-refused-huge": ["rse-block", "--m", "1000000"],
     "rse-budget-nan": ["rse-block", "--m", "3", "--budget", "nan"],
@@ -151,6 +156,12 @@ CASES.update({
     "err-r-theta-above-one": ["pmf", "--m", "4", "--k", "2", "--theta", "1.5",
                               "--r", "2", "--tmax", "3"],
     "err-n-zero": ["sample", *_SMALL, "--n", "0"],
+    "sample-theta-tiny": ["sample", "--m", "5", "--k", "2", "--theta", "1e-17",
+                          "--n", "4", "--seed", "1"],
+    "err-sample-theta-tiny": ["sample", "--m", "5", "--k", "2", "--theta", "1e-19",
+                              "--n", "4", "--seed", "1"],
+    "err-sample-theta-tinier": ["sample", "--m", "5", "--k", "2", "--theta", "1e-30",
+                                "--n", "4", "--seed", "1"],
     # parse errors and help
     "parse-m-word": ["pmf", "--m", "three", "--k", "2", "--theta", "1"],
     "parse-k-float": ["pmf", "--m", "3", "--k", "2.5", "--theta", "1"],
