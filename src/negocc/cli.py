@@ -9,14 +9,13 @@ digits.  The literal ``inf`` spells an infinite space parameter.
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import accuracy, exact, gamma_approx, moments, sampler
+from . import _csvtext, accuracy, exact, gamma_approx, moments, sampler
 from .errors import DomainError, WorkBudgetError
 from .params import INFINITE, OccupancyParams, conditional_params
 
@@ -132,13 +131,10 @@ def _emit_table(out: _Output, ns, params_desc, method, header, chunks):
 
 
 def _write_rows(out: _Output, *columns):
-    """Equal-length columns as CSV rows, without a header."""
-    # %d and %.17g render a cell exactly as _fmt does
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns)
+    """Equal-length columns as CSV rows, without a header; cells read
+    exactly as _fmt renders them."""
     for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        chunk = [c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns]
-        cells = tuple(itertools.chain.from_iterable(zip(*chunk)))
-        out.line("\n".join([row] * len(chunk[0])) % cells)
+        out.line(_csvtext.rows([c[start:start + _CSV_CHUNK_ROWS] for c in columns]))
 
 
 def _block_chunks(block: np.ndarray, log: bool):
@@ -394,3 +390,7 @@ def execute(args) -> int:
 
 def main() -> None:
     sys.exit(execute(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

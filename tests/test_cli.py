@@ -19,13 +19,13 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
-def run_python(script, **kwargs):
-    """Run ``script`` in a fresh interpreter that imports this checkout's
-    ``src``, installed or not."""
+def run_python(*args, check=True, **kwargs):
+    """Run ``python ARGS`` in a fresh interpreter that imports this
+    checkout's ``src``, installed or not."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, check=True,
+        [sys.executable, *args], capture_output=True, check=check,
         env={**os.environ, "PYTHONPATH": path}, **kwargs,
     )
 
@@ -508,10 +508,26 @@ class TestConsoleScript:
             "sys.exit(execute(['sample', '--m', '6', '--k', '3', '--theta', "
             "'0.8', '--n', '10', '--seed', '42']))"
         )
-        first = run_python(script)
-        second = run_python(script)
+        first = run_python("-c", script)
+        second = run_python("-c", script)
         assert first.stdout == second.stdout
         assert first.stdout.startswith(b"value\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["pmf", "--m", "3", "--k", "2", "--theta", "1", "--tmax", "1"], 0),
+        (["pmf", "--m", "3", "--k", "5", "--theta", "1"], 2),
+        (["pmf", "--m", "three", "--k", "2", "--theta", "1"], 2),
+    ])
+    def test_module_entry_points_match_main(self, argv, code):
+        # python -m negocc and python -m negocc.cli are the console script
+        script = f"import sys; sys.argv[1:] = {argv!r}; from negocc.cli import main; main()"
+        runs = [run_python(*how, *argv, check=False)
+                for how in (["-c", script], ["-m", "negocc"], ["-m", "negocc.cli"])]
+        assert runs[0].returncode == code
+        assert runs[0].stdout if code == 0 else runs[0].stderr.startswith(b"negocc: error:")
+        for done in runs[1:]:
+            assert (done.returncode, done.stdout, done.stderr) == (
+                runs[0].returncode, runs[0].stdout, runs[0].stderr)
 
 
 class TestImportPath:
@@ -529,5 +545,11 @@ class TestImportPath:
             "print(json.dumps([codes, 'mpmath' in sys.modules,\n"
             "                  'negocc.oracles' in sys.modules]))\n"
         )
-        done = run_python(script, text=True)
+        done = run_python("-c", script, text=True)
         assert json.loads(done.stdout) == [[0, 0, 0, 0], False, False]
+
+    def test_csv_tables_wait_for_first_use(self):
+        # the CSV kernel's power-of-ten table is built on first use, so
+        # importing the CLI does not import fractions
+        script = "import sys, negocc.cli; print('fractions' in sys.modules)"
+        assert run_python("-c", script, text=True).stdout == "False\n"

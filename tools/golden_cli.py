@@ -15,8 +15,9 @@ unchanged, byte for byte.
 The cases cover every subcommand in CSV and JSON, ``--log``, ``--block``,
 ``--r``, ``m = inf``, ``--method gamma``/``auto`` (also at a gamma shape
 above 600), rse-block ``--summaries`` (also at theta = 0.05), a quantile
-over 1000 long exact columns, a CSV table longer than one write chunk, and
-the domain, parse and refusal errors.
+over 1000 long exact columns, a CSV table longer than one write chunk, a
+pmf tail from normal through subnormal values to 0, and the domain, parse
+and refusal errors.
 """
 
 import argparse
@@ -53,6 +54,11 @@ CASES.update({
     "pmf-block-csv": ["pmf", *_SMALL, "--tmax", "8", "--block"],
     "pmf-block-log-json": ["pmf", *_SMALL, "--tmax", "8", "--block", "--log", *_JSON],
     "pmf-long-log-csv": ["pmf", *_INF, "--tmax", "70000", "--log"],
+    # probabilities from normal through subnormal to 0, and their logs
+    "pmf-subnormal-tail": ["pmf", "--m", "inf", "--k", "1", "--theta", "0.5",
+                           "--tmax", "1100"],
+    "pmf-subnormal-tail-log": ["pmf", "--m", "inf", "--k", "1", "--theta", "0.5",
+                               "--tmax", "1100", "--log"],
     "pmf-out-file": ["pmf", *_SMALL, "--tmax", "5",
                      "--out", "{outdir}/pmf-out-file.file"],
     # conditional start
