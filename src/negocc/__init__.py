@@ -42,7 +42,6 @@ from .moments import (
     MomentSummary,
     asymptotic_cgf,
     asymptotic_moments,
-    cgf_maclaurin,
     cumulant,
     cumulant_set,
     generating_function,
@@ -59,6 +58,6 @@ from .numerics import (
     stirling2,
 )
 from .params import INFINITE, OccupancyParams, conditional_params
-from .sampler import SampleConfig, empirical_pmf, sample_negocc
+from .sampler import SampleConfig, sample_negocc
 
 __version__ = "0.1.0"

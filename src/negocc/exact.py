@@ -54,27 +54,43 @@ def _geometric_log_column(theta: float, ts: np.ndarray, out: np.ndarray) -> np.n
 #: far above its reference, so none of their exponentials overflows.
 _SEGMENT_RISE = 600.0
 
+#: :func:`_log_cumsum_exp` finds each cut from the maxima of x over blocks
+#: of this many points.
+_SEARCH_BLOCK = 256
 
-def _log_cumsum_exp(x, out, scratch) -> np.ndarray:
+
+def _log_cumsum_exp(x, out) -> np.ndarray:
     """Running log-sum-exp, out[t] = log(sum_{s<=t} exp(x[s])), written into
-    ``out`` (which may be ``x``); ``scratch`` is an array of x's size that
-    the call overwrites.
+    ``out`` (which may be ``x``).
 
     A segment starting at ``start`` takes as reference ``ref`` the larger
     of the running value before it and x[start], and ends before the first
-    t whose prefix maximum exceeds ref + ``_SEGMENT_RISE``.  Inside it no
-    shifted term overflows, every value is at least ``ref`` (so a term that
-    underflows is below exp(-700) of the running total), and the cut points
-    depend only on the prefix of x, so out[t] does not depend on x's length.
+    t whose prefix maximum exceeds ``limit = ref + _SEGMENT_RISE``.  Inside
+    it no shifted term overflows, every value is at least ``ref`` (so a
+    term that underflows is below exp(-700) of the running total), and the
+    cut points depend only on the prefix of x, so out[t] does not depend on
+    x's length.
+
+    The cut is found without a prefix maximum over all of x.  ``blocks``
+    is the running maximum of x's maxima over blocks of ``_SEARCH_BLOCK``
+    points, taken before anything is written; its first entry above
+    ``limit`` names the block holding the first point of x above
+    ``limit``, and one compare inside that block finds the point.  No point
+    up to ``start`` is above ``limit``, so this is the cut the prefix
+    maximum gives: the unwritten points are at most the prefix maximum,
+    the ones already overwritten in place hold running values, at most the
+    carry, and both bounds are ``ref`` up to rounding far below
+    ``_SEGMENT_RISE``.
     """
-    peak = np.fmax.accumulate(x, out=scratch)
+    blocks = np.fmax.accumulate(np.fmax.reduceat(x, np.arange(0, x.size, _SEARCH_BLOCK)))
     carry = NEG_INF
     start = 0
     while start < x.size:
         ref = max(carry, float(x[start]))
-        # the first point always belongs to the segment
-        rest = peak[start + 1:]
-        end = start + 1 + int(rest.searchsorted(ref + _SEGMENT_RISE, "right"))
+        limit = ref + _SEGMENT_RISE
+        lo = int(blocks.searchsorted(limit, "right")) * _SEARCH_BLOCK
+        end = (lo + int(np.argmax(x[lo:lo + _SEARCH_BLOCK] > limit)) if lo < x.size
+               else x.size)
         seg = out[start:end]
         if ref == NEG_INF:
             seg.fill(NEG_INF)  # every term so far is exp(-inf) = 0
@@ -90,20 +106,19 @@ def _log_cumsum_exp(x, out, scratch) -> np.ndarray:
     return out
 
 
-def _next_log_column(col, m: int, theta: float, r: int, ts, spares, out) -> np.ndarray:
+def _next_log_column(col, m: int, theta: float, r: int, ts, shift, out) -> np.ndarray:
     """Column for occupancy r+1 from the column for occupancy r, written
-    into ``out``; ``ts`` is the float grid 0..T and ``spares`` two arrays
-    of its size that the call overwrites."""
+    into ``out``; ``ts`` is the float grid 0..T and ``shift`` an array of
+    its size that the call overwrites."""
     coeff = theta * (m - r) / m
     decay = 1.0 - coeff
     if decay == 0.0:
         # L_r = -inf: the logsumexp collapses to its j = 0 term.  Cannot
         # occur for theta <= 1 and r >= 1, but keeps the operation total.
         return np.add(math.log(coeff), col, out=out)
-    shift, scratch = spares
     np.multiply(ts, math.log(decay), out=shift)
     np.subtract(col, shift, out=out)
-    running = _log_cumsum_exp(out, out, scratch)
+    running = _log_cumsum_exp(out, out)
     np.add(math.log(coeff), shift, out=shift)
     np.add(shift, running, out=out)
     return np.minimum(out, 0.0, out=out)  # rounding guard: log-probabilities
@@ -114,12 +129,12 @@ def _log_columns(m: int, theta: float, tmax: int, rows):
     array of ``rows`` and yielded in turn.  Column r+1 reads only column
     r, so ``rows`` may alternate between two buffers."""
     ts = np.arange(tmax + 1, dtype=float)
-    spares = (np.empty(tmax + 1), np.empty(tmax + 1))
+    shift = np.empty(tmax + 1)
     rows = iter(rows)
     col = _geometric_log_column(theta, ts, next(rows))
     yield col
     for r, out in enumerate(rows, start=1):
-        col = _next_log_column(col, m, theta, r, ts, spares, out)
+        col = _next_log_column(col, m, theta, r, ts, shift, out)
         yield col
 
 
@@ -198,7 +213,7 @@ def coupon_collector_pmf_vector(m: int, theta: float, tmax: int) -> np.ndarray:
 def cdf_vector(params: OccupancyParams, tmax: int) -> np.ndarray:
     """CDF over t = 0..tmax, accumulated in log-space then exponentiated."""
     logs = log_pmf_vector(params, tmax)
-    running = _log_cumsum_exp(logs, logs, np.empty_like(logs))
+    running = _log_cumsum_exp(logs, logs)
     return np.clip(np.exp(running), 0.0, 1.0)
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "moment_summary",
     "total_hitting_moments",
     "generating_function",
-    "cgf_maclaurin",
     "asymptotic_cgf",
     "asymptotic_moments",
     "GENERATING_FUNCTION_KINDS",
@@ -245,31 +244,6 @@ def generating_function(params: OccupancyParams, kind: str, arg: float):
         raise DomainError(
             f"{kind} value overflows a double; --kind cgf{at} gives its log"
         ) from None
-
-
-def cgf_maclaurin(params: OccupancyParams, s: float, n_terms: int) -> float:
-    """Partial Maclaurin sum of the cumulant generating function,
-
-        K(s) ~ -k*s + sum_{n=1}^{N} (1 - exp(-s))**n / n * h_n.
-
-    Converges for |1 - exp(-s)| < (m-k+1)*theta/m (theta at infinite m);
-    used as an independent cross-check of the product-form CGF.
-    """
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise DomainError("n_terms must be a positive integer")
-    s = float(s)
-    x = -math.expm1(-s)  # 1 - exp(-s)
-    if params.is_infinite:
-        radius = params.theta
-    else:
-        radius = (params.m - params.k + 1) * params.theta / params.m
-    _check_bound(x, radius, "cgf series argument must satisfy |1 - exp(-s)| < bound", True)
-    total = -params.k * s
-    power = 1.0
-    for n in range(1, n_terms + 1):
-        power *= x
-        total += power / n * _h(params, n)
-    return total
 
 
 # -- asymptotics (m, k large at fixed occupancy fraction) --------------------

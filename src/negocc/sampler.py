@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import OccupancyParams, check_tmax
+from .params import OccupancyParams
 
-__all__ = ["SampleConfig", "sample_negocc", "empirical_pmf"]
+__all__ = ["SampleConfig", "sample_negocc"]
 
 #: Uniforms per chunk (32 MiB of doubles); a chunk holds at least one draw.
 _CHUNK_DOUBLES = 1 << 22
@@ -104,19 +104,3 @@ def sample_negocc(config: SampleConfig) -> np.ndarray:
         count = min(chunk, config.n - start)
         out[start : start + count] = _sample_range(config.seed, start, count, probs)
     return out
-
-
-def empirical_pmf(draws, tmax: int):
-    """Frequencies of t = 0..tmax plus the overflow share beyond tmax.
-
-    Returns ``(frequencies, overflow)``; the frequencies and the overflow
-    share sum to one.
-    """
-    draws = np.asarray(draws, dtype=np.int64)
-    if draws.size == 0:
-        raise DomainError("draws must be non-empty")
-    check_tmax(tmax)
-    counts = np.bincount(np.minimum(draws, tmax + 1), minlength=tmax + 2)
-    freqs = counts[: tmax + 1] / draws.size
-    overflow = counts[tmax + 1] / draws.size
-    return freqs, float(overflow)

@@ -17,10 +17,8 @@ from negocc import (
     SampleConfig,
     asymptotic_cgf,
     asymptotic_moments,
-    cgf_maclaurin,
     conditional_params,
     cumulant,
-    empirical_pmf,
     gamma_log_cdf_grid,
     generating_function,
     log_pmf_block,
@@ -34,7 +32,9 @@ from negocc import (
 )
 from negocc.numerics import log_diff_grid
 from negocc.oracles import (
+    cgf_maclaurin,
     convolution_pmf,
+    empirical_pmf,
     log_sum_exp,
     stirling_pmf,
     weighted_geometric_pmf,

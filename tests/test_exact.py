@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negocc import (
     INFINITE,
@@ -19,7 +21,7 @@ from negocc import (
     quantile,
     truncation_point,
 )
-from negocc.exact import _log_cumsum_exp
+from negocc.exact import _SEGMENT_RISE, _log_cumsum_exp
 from negocc.oracles import log_falling_factorial
 
 NEG_INF = float("-inf")
@@ -154,7 +156,7 @@ class TestLogCumsumExp:
     @pytest.mark.parametrize("name", sorted(_SCAN_INPUTS))
     def test_matches_logaddexp_accumulate(self, name):
         x = _SCAN_INPUTS[name]
-        got = _log_cumsum_exp(x, np.empty_like(x), np.empty_like(x))
+        got = _log_cumsum_exp(x, np.empty_like(x))
         ref = np.logaddexp.accumulate(x)
         assert not np.isnan(got).any()
         assert np.array_equal(np.isfinite(got), np.isfinite(ref))
@@ -163,11 +165,92 @@ class TestLogCumsumExp:
                       <= 1e-13 * np.maximum(1.0, np.abs(ref[finite])))
         # in place, and prefix by prefix
         inplace = x.copy()
-        _log_cumsum_exp(inplace, inplace, np.empty_like(x))
+        _log_cumsum_exp(inplace, inplace)
         assert inplace.tobytes() == got.tobytes()
         for n in range(1, x.size):
             head = x[:n].copy()
-            assert _log_cumsum_exp(head, head, np.empty(n)).tobytes() == got[:n].tobytes()
+            assert _log_cumsum_exp(head, head).tobytes() == got[:n].tobytes()
+
+
+def _prefix_max_log_cumsum_exp(x, out):
+    """The scan with its cuts found from a prefix maximum over all of x,
+    as it was before the block search (the reference for byte identity)."""
+    peak = np.fmax.accumulate(x)
+    carry = NEG_INF
+    start = 0
+    while start < x.size:
+        ref = max(carry, float(x[start]))
+        end = start + 1 + int(peak[start + 1:].searchsorted(ref + _SEGMENT_RISE, "right"))
+        seg = out[start:end]
+        if ref == NEG_INF:
+            seg.fill(NEG_INF)
+        else:
+            np.subtract(x[start:end], ref, out=seg)
+            np.exp(seg, out=seg)
+            seg[0] += math.exp(carry - ref)
+            np.add.accumulate(seg, out=seg)
+            np.log(seg, out=seg)
+            seg += ref
+        carry = float(seg[-1])
+        start = end
+    return out
+
+
+def _assert_scan_is_reference(x):
+    ref = _prefix_max_log_cumsum_exp(x, np.empty_like(x)).tobytes()
+    assert _log_cumsum_exp(x, np.empty_like(x)).tobytes() == ref
+    inplace = x.copy()
+    _log_cumsum_exp(inplace, inplace)
+    assert inplace.tobytes() == ref
+
+
+def _first_crossing_at(n, index):
+    # a gentle fall from 0, then the first point above the first limit
+    x = np.linspace(0.0, -5.0, n)
+    x[index] = _SEGMENT_RISE + 1.0
+    x[index + 1:] += _SEGMENT_RISE  # later cuts measure from the new carry
+    return x
+
+
+_CUT_INPUTS = {
+    **{f"first-cut-at-{i}": _first_crossing_at(1000, i)
+       for i in (255, 256, 257, 511, 512, 999)},
+    "two-cuts-in-one-block": np.concatenate([np.zeros(300), [700.0],
+                                             np.full(9, 650.0), [1400.0],
+                                             np.full(289, 1350.0)]),
+    **{f"length-{n}": np.arange(n) * 5.0 for n in (1, 255, 256, 257)},
+    "neg-inf-runs": np.concatenate([np.full(300, NEG_INF), np.arange(100) * 9.0,
+                                    np.full(400, NEG_INF), [2000.0],
+                                    np.full(200, NEG_INF), [4000.0]]),
+}
+
+
+class TestBlockSearch:
+    """The cuts found from block maxima are the prefix-maximum cuts."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(_CUT_INPUTS))
+    def test_matches_prefix_max_scan(self, name):
+        _assert_scan_is_reference(_CUT_INPUTS[name])
+
+    @pytest.mark.filterwarnings("error")
+    @given(st.lists(st.one_of(st.floats(-700.0, 700.0), st.just(NEG_INF)),
+                    min_size=1, max_size=1500))
+    @settings(max_examples=200, deadline=None)
+    def test_random_walk_matches_prefix_max_scan(self, steps):
+        steps = np.array(steps)
+        gaps = np.isinf(steps)
+        x = np.where(gaps, NEG_INF, np.cumsum(np.where(gaps, 0.0, steps)))
+        _assert_scan_is_reference(x)
+
+    def test_block_matches_prefix_max_scan(self, monkeypatch):
+        # the pmf-cut-columns golden case: 388 columns cut, five of the
+        # cuts within one point of a block edge
+        import negocc.exact
+
+        block = log_pmf_block(1000, 1.0, 1000, 3000)
+        monkeypatch.setattr(negocc.exact, "_log_cumsum_exp", _prefix_max_log_cumsum_exp)
+        assert block.tobytes() == log_pmf_block(1000, 1.0, 1000, 3000).tobytes()
 
 
 class TestPrefixStability:

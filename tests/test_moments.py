@@ -15,7 +15,6 @@ from negocc import (
     SingularityError,
     asymptotic_cgf,
     asymptotic_moments,
-    cgf_maclaurin,
     cumulant,
     cumulant_set,
     generating_function,
@@ -27,6 +26,7 @@ from negocc import (
     skewness,
     total_hitting_moments,
 )
+from negocc.oracles import cgf_maclaurin
 
 
 class TestCumulants:

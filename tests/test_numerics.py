@@ -17,7 +17,12 @@ from negocc import (
     stirling2,
 )
 from negocc.numerics import log_diff_grid
-from negocc.oracles import log_falling_factorial, log_sum_exp, stirling2_noncentral
+from negocc.oracles import (
+    log_falling_factorial,
+    log_sum_exp,
+    regularized_gamma_p,
+    stirling2_noncentral,
+)
 
 NEG_INF = float("-inf")
 
@@ -455,3 +460,111 @@ class TestGammaLogCdf:
             gamma_log_cdf_grid(1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             gamma_log_cdf_grid(1.0, 1.0, -2.0)
+
+
+def _two_call_log_cdf(x, shape, rate):
+    """The kernel's route before the median bound: gammainc at every point,
+    then gammaincc wherever P >= 1/2 (the reference for byte identity)."""
+    from scipy.special import gammainc, gammaincc, hyp1f1
+
+    from negocc.numerics import (
+        _CAPPED_SHAPE,
+        _P_CAPPED,
+        _P_UNDERFLOW,
+        _per_shape,
+        _tail_anchor,
+    )
+
+    def at(values, mask):
+        return values if np.ndim(values) == 0 else values[mask]
+
+    z = rate * np.atleast_1d(np.asarray(x, dtype=float))
+    p = gammainc(shape, z)
+    with np.errstate(divide="ignore"):
+        out = np.log(p)
+    upper = p >= 0.5
+    out[upper] = np.log1p(-gammaincc(at(shape, upper), z[upper]))
+    tail = (p < np.where(shape < _CAPPED_SHAPE, _P_UNDERFLOW, _P_CAPPED)) & (z > 0.0)
+    if tail.any():
+        a, zt = at(shape, tail), z[tail]
+        lead = a * np.log(zt) - zt - _per_shape(lambda s: math.lgamma(s + 1.0), a)
+        near = zt >= 0.5 * a
+        if near.any():
+            an, zn = at(a, near), zt[near]
+            lead[near] = (_per_shape(_tail_anchor, an)
+                          + an * np.log1p((zn - an) / an) - (zn - an))
+        out[tail] = lead + np.log(hyp1f1(1.0, a + 1.0, zt))
+    return out
+
+
+_ROUTE_SHAPES = [1e-3, 0.5, 1.0, 13.0, 600.0, 49_999.0, 5e4, 1e7]
+
+
+def _straddling_grid(shape):
+    """z over the lower tail, the mean and the upper tail of gamma(shape),
+    with a run of neighbours on both sides of shape + 1 + 1e-6*shape."""
+    bound = shape + 1.0 + 1e-6 * shape
+    sd = math.sqrt(shape)
+    near = bound + np.concatenate([np.arange(-4, 5) * np.spacing(bound),
+                                   [-1e-3, -1e-9, 1e-9, 1e-3]])
+    spread = shape + sd * np.linspace(-8.0, 8.0, 33)
+    far = np.array([1e-3 * shape, 0.5 * shape, shape, 2.0 * shape + 5.0, 8.0 * bound])
+    return np.sort(np.concatenate([near, spread[spread > 0.0], far]))
+
+
+class TestGammaRoute:
+    @pytest.mark.parametrize("shape", _ROUTE_SHAPES)
+    def test_scalar_grid_matches_two_call_route(self, shape):
+        for rate in (1.0, 0.3):
+            x = _straddling_grid(shape) / rate
+            got = gamma_log_cdf_grid(x, shape, rate)
+            assert got.tobytes() == _two_call_log_cdf(x, shape, rate).tobytes()
+        for z in _straddling_grid(shape).tolist():
+            assert gamma_log_cdf_grid(z, shape, 1.0).tobytes() == \
+                _two_call_log_cdf(z, shape, 1.0).tobytes()
+
+    def test_ragged_grid_matches_two_call_route(self):
+        from negocc.numerics import _gamma_log_cdf
+
+        grids = [_straddling_grid(shape) for shape in _ROUTE_SHAPES]
+        lengths = [grid.size for grid in grids]
+        shapes = np.repeat(_ROUTE_SHAPES, lengths)
+        rates = np.repeat(np.linspace(0.5, 2.0, len(grids)), lengths)
+        x = np.concatenate(grids) / rates
+        got = _gamma_log_cdf(x, shapes, rates)
+        assert got.tobytes() == _two_call_log_cdf(x, shapes, rates).tobytes()
+
+    def test_median_bound_leaves_a_margin(self):
+        # P(a, a + 1 + 1e-6*a) - 1/2 stays far above scipy's rounding error,
+        # so a point past the bound never needed gammainc to pick its side
+        for a in np.geomspace(1e-4, 1e7, 67).tolist():
+            assert regularized_gamma_p(a, a + 1.0 + 1e-6 * a) - 0.5 > 5e-4, a
+
+    def test_gammainc_sees_only_points_below_the_bound(self, monkeypatch):
+        import scipy.special
+
+        from negocc.numerics import _gamma_log_cdf
+
+        gammainc = scipy.special.gammainc
+        seen = {"gammainc": [], "gammaincc": []}
+        for name, calls in seen.items():
+            def counted(a, z, _fn=getattr(scipy.special, name), _calls=calls):
+                _calls.append(np.atleast_1d(z).copy())
+                return _fn(a, z)
+            monkeypatch.setattr(scipy.special, name, counted)
+        # no deep lower tail, so the tail series (and its anchor) stays out
+        shapes = [0.5, 13.0, 600.0, 1e7]
+        grids = [shape + math.sqrt(shape) * np.linspace(-3.0, 3.0, 61) + 1.0
+                 for shape in shapes]
+        lengths = [grid.size for grid in grids]
+        shape = np.repeat(shapes, lengths)
+        z = np.maximum(np.concatenate(grids), 1e-3)
+        out = _gamma_log_cdf(z, shape, 1.0)
+        below = z < shape + 1.0 + 1e-6 * shape
+        assert 0 < below.sum() < z.size
+        assert len(seen["gammainc"]) == 1
+        assert seen["gammainc"][0].tobytes() == z[below].tobytes()
+        upper = ~below | (gammainc(shape, z) >= 0.5)
+        assert np.all(np.isfinite(out))
+        assert len(seen["gammaincc"]) == 1
+        assert seen["gammaincc"][0].tobytes() == z[upper].tobytes()

@@ -13,13 +13,12 @@ from negocc import (
     OccupancyParams,
     SampleConfig,
     conditional_params,
-    empirical_pmf,
     mean_variance,
     pmf_vector,
     sample_negocc,
     truncation_point,
 )
-from negocc.oracles import sample_geometric
+from negocc.oracles import empirical_pmf, sample_geometric
 from negocc.sampler import _increment_probs, _sample_range
 
 

@@ -15,9 +15,9 @@ unchanged, byte for byte.
 The cases cover every subcommand in CSV and JSON, ``--log``, ``--block``,
 ``--r``, ``m = inf``, ``--method gamma``/``auto`` (also at a gamma shape
 above 600), rse-block ``--summaries`` (also at theta = 0.05), a quantile
-over 1000 long exact columns, a CSV table longer than one write chunk, a
-pmf tail from normal through subnormal values to 0, and the domain, parse
-and refusal errors.
+over 1000 long exact columns, a pmf whose columns are cut into scan
+segments, a CSV table longer than one write chunk, a pmf tail from normal
+through subnormal values to 0, and the domain, parse and refusal errors.
 """
 
 import argparse
@@ -76,6 +76,10 @@ CASES.update({
     "quantile-inf": ["quantile", *_INF, "--p", "0.7"],
     "quantile-long-columns": ["quantile", "--m", "1000", "--k", "1000", "--theta", "1",
                               "--p", "0.999999"],
+    # long exact columns cut into several scan segments, some next to a
+    # 256-point block edge of the segment search
+    "pmf-cut-columns": ["pmf", "--m", "1000", "--k", "1000", "--theta", "1",
+                        "--tmax", "3000", "--log"],
     "sample-inf": ["sample", *_INF, "--n", "50", "--seed", "1"],
     "moments-inf-json": ["moments", *_INF, *_JSON],
     "gfun-inf-mgf": ["gfun", *_INF, "--kind", "mgf", "--arg", "0.2"],
