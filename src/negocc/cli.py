@@ -73,6 +73,9 @@ class _Output:
     def __init__(self, path):
         self._stream = sys.stdout if path is None else open(path, "w")
 
+    def write(self, text: str):
+        self._stream.write(text)
+
     def line(self, text: str):
         self._stream.write(text + "\n")
 
@@ -90,8 +93,6 @@ def _json_safe(value):
     """Strict JSON has no infinities; log-space zeros become the string '-inf'."""
     if isinstance(value, dict):
         return {key: _json_safe(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
     if isinstance(value, float) and math.isinf(value):
         return "-inf" if value < 0 else "inf"
     return value
@@ -102,28 +103,46 @@ def _emit_json(out: _Output, params: dict, method: str, values):
 
 
 def _json_cells(column: np.ndarray) -> list:
-    """``column.tolist()`` with its infinities spelled as in :func:`_json_safe`."""
-    cells = column.tolist()
+    """The cells of a column as ``json.dumps`` renders them after :func:`_json_safe`."""
+    values = column.tolist()
+    cells = list(map(repr, values))  # what json.dumps calls for ints and floats
     if column.dtype.kind == "f":
-        for i in np.flatnonzero(np.isinf(column)).tolist():
-            cells[i] = "-inf" if cells[i] < 0 else "inf"
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            cells[i] = json.dumps(_json_safe(values[i]))
     return cells
 
 
-#: Rows formatted per write, so CSV output memory does not grow with the table.
+def _json_items(cells: list) -> str:
+    """Equal-length, non-empty JSON cell lists as items: cells or ``[a, b]`` rows."""
+    if len(cells) == 1:
+        return ", ".join(cells[0])
+    width = 2 * len(cells)  # cell j of row i is token width*i + 2*j
+    tokens = [", "] * (width * len(cells[0]))
+    for j, column in enumerate(cells):
+        tokens[2 * j::width] = column
+    tokens[width - 1::width] = ["], ["] * len(cells[0])
+    return "[" + "".join(tokens[:-1]) + "]"
+
+
+#: Rows formatted per write, so output memory does not grow with the table.
 _CSV_CHUNK_ROWS = 1 << 16
 
 
 def _emit_table(out: _Output, ns, params_desc, method, header, chunks):
     """A table given as chunks, each a tuple of equal-length columns: CSV
     rows, or JSON with a plain list for one column and ``[row, ...]`` for
-    several."""
+    several.  Both are written one chunk at a time; the JSON bytes equal
+    one ``json.dumps`` of the whole table."""
     if ns.format == "json":
-        values = []
+        head = json.dumps({"params": params_desc, "method": method, "values": []})
+        out.write(head[:-2])  # up to and including the values' "["
+        separator = ""
         for chunk in chunks:
-            cells = [_json_cells(column) for column in chunk]
-            values.extend(cells[0] if len(cells) == 1 else zip(*cells))
-        _emit_json(out, params_desc, method, values)
+            for start in range(0, len(chunk[0]), _CSV_CHUNK_ROWS):
+                part = [_json_cells(c[start:start + _CSV_CHUNK_ROWS]) for c in chunk]
+                out.write(separator + _json_items(part))
+                separator = ", "
+        out.line("]}")
         return
     out.line(header)
     for chunk in chunks:

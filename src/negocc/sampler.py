@@ -3,11 +3,11 @@
 A draw is the sum of k independent geometric waits, increment l having
 success probability theta*(m-l+1)/m (theta itself when m is infinite,
 and l shifted by the conditioning occupancy).  Each draw consumes exactly
-k uniforms from a PCG64 stream, so draw i always sees uniforms
-i*k..(i+1)*k-1 regardless of how the work is chunked: sequences are
-bit-reproducible under any chunking and across parallel ranges.  A chunk
-holds at most ``_CHUNK_DOUBLES`` uniforms but always at least one draw, so
-peak memory does not grow with k while k <= ``_CHUNK_DOUBLES``.
+k uniforms from one PCG64 stream, so draw i always sees uniforms
+i*k..(i+1)*k-1 however the work is tiled.  The draws stream through one
+reused float tile and one int64 tile of ``_CHUNK_DOUBLES`` values each
+(512 KiB, but always at least one draw), so sampler memory is bounded in
+n, and in k while k <= ``_CHUNK_DOUBLES``.
 """
 
 import math
@@ -20,8 +20,8 @@ from .params import OccupancyParams
 
 __all__ = ["SampleConfig", "sample_negocc"]
 
-#: Uniforms per chunk (32 MiB of doubles); a chunk holds at least one draw.
-_CHUNK_DOUBLES = 1 << 22
+#: Uniforms per tile (512 KiB of doubles); a tile holds at least one draw.
+_CHUNK_DOUBLES = 1 << 16
 
 #: The largest uniform ``Generator.random`` returns; it gives the longest wait.
 _LARGEST_UNIFORM = 1.0 - 2.0**-53
@@ -60,31 +60,9 @@ def _increment_probs(config: SampleConfig) -> np.ndarray:
     k, theta, r = params.k, params.theta, config.conditional_r
     if params.is_infinite:
         return np.full(k, theta)
-    m = int(params.m)
-    ls = np.arange(r + 1, r + k + 1)
-    return theta * (m - ls + 1) / m
-
-
-def _sample_range(seed: int, start: int, count: int, probs: np.ndarray) -> np.ndarray:
-    """Draws for indices start..start+count-1 of the stream.
-
-    PCG64 emits one 64-bit word per double, so advancing by start*k words
-    positions the stream exactly at draw ``start``.
-    """
-    k = probs.size
-    bits = np.random.PCG64(seed)
-    if start:
-        bits.advance(start * k)
-    u = np.random.Generator(bits).random((count, k))
-    waits = np.log1p(-u, out=u)
-    waits /= _log_failure(probs)
-    return np.floor(waits, out=waits).astype(np.int64).sum(axis=1)
-
-
-def _log_failure(probs: np.ndarray) -> np.ndarray:
-    # a certain success (p = 1) divides by -inf: the uniform is consumed,
-    # the wait is 0
-    return np.array([math.log1p(-p) if p < 1.0 else -math.inf for p in probs])
+    m = int(params.m)  # Python ints: m may pass the int64 range
+    return np.fromiter((theta * (m - l + 1) / m for l in range(r + 1, r + k + 1)),
+                       dtype=float, count=k)
 
 
 def sample_negocc(config: SampleConfig) -> np.ndarray:
@@ -94,13 +72,25 @@ def sample_negocc(config: SampleConfig) -> np.ndarray:
     small that a draw could pass the int64 range is a ``DomainError``.
     """
     probs = _increment_probs(config)
-    with np.errstate(over="ignore"):  # an infinite wait is refused below
-        longest = np.floor(np.log1p(-_LARGEST_UNIFORM) / _log_failure(probs))
+    # a certain success (p = 1) divides by -inf: the uniform is consumed,
+    # the wait is 0
+    log_failure = np.array([math.log1p(-p) if p < 1.0 else -math.inf for p in probs])
+    # a zero or subnormal probability gives an infinite wait, refused below
+    with np.errstate(over="ignore", divide="ignore"):
+        longest = np.floor(np.log1p(-_LARGEST_UNIFORM) / log_failure)
     if math.fsum(longest) >= 2.0**63:
         raise DomainError("theta is too small to sample: a draw can exceed 2**63 - 1")
-    chunk = max(_CHUNK_DOUBLES // probs.size, 1)
+    rows = max(_CHUNK_DOUBLES // probs.size, 1)
+    uniforms = np.empty((min(rows, config.n), probs.size))
+    waits = np.empty(uniforms.shape, dtype=np.int64)
+    stream = np.random.Generator(np.random.PCG64(config.seed))
     out = np.empty(config.n, dtype=np.int64)
-    for start in range(0, config.n, chunk):
-        count = min(chunk, config.n - start)
-        out[start : start + count] = _sample_range(config.seed, start, count, probs)
+    for start in range(0, config.n, rows):
+        u, w = uniforms[:config.n - start], waits[:config.n - start]
+        stream.random(out=u)
+        np.log1p(np.negative(u, out=u), out=u)
+        np.divide(u, log_failure, out=u)
+        # every wait is finite and >= 0 past the guard, so truncation is floor
+        np.copyto(w, u, casting="unsafe")
+        w.sum(axis=1, out=out[start:start + len(w)])
     return out

@@ -211,6 +211,90 @@ class TestPmfCommand:
         assert target.read_text().startswith("t,value\n")
 
 
+def json_whole(params, method, values):
+    """One ``json.dumps`` of a whole table, infinities spelled as strings."""
+    def cell(v):
+        if isinstance(v, float) and math.isinf(v):
+            return "-inf" if v < 0 else "inf"
+        return v
+
+    values = [[cell(v) for v in row] if isinstance(row, list) else cell(row)
+              for row in values]
+    return json.dumps({"params": params, "method": method, "values": values}) + "\n"
+
+
+class TestJsonTables:
+    """JSON tables are written chunk by chunk, with the bytes of one dump."""
+
+    @staticmethod
+    def emit(tmp_path, chunks):
+        from types import SimpleNamespace
+
+        from negocc import cli
+
+        target = tmp_path / "table.json"
+        with cli._Output(str(target)) as out:
+            cli._emit_table(out, SimpleNamespace(format="json"), {"m": 3}, "x",
+                            "a,b", chunks)
+        return target.read_text()
+
+    def test_one_column(self, capsys, monkeypatch):
+        from negocc import OccupancyParams, cli, sampler
+        from negocc.sampler import SampleConfig
+
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 4)
+        _, out, _ = run(capsys, "sample", "--m", "9", "--k", "4", "--theta", "0.7",
+                        "--n", "11", "--seed", "2", "--format", "json")
+        draws = sampler.sample_negocc(SampleConfig(OccupancyParams(9, 4, 0.7), 11, 2))
+        desc = {"m": 9, "k": 4, "theta": 0.7, "n": 11, "seed": 2}
+        assert out == json_whole(desc, "simulation", draws.tolist())
+
+    def test_several_columns_with_neginf_across_chunk_edges(self, capsys, monkeypatch):
+        # theta = 1: row r = 1 is a point mass at t = 0, so every chunk of
+        # one t-value holds a "-inf" cell on both sides of its edges
+        from negocc import cli, exact
+
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 3)
+        _, out, _ = run(capsys, "pmf", "--m", "9", "--k", "4", "--theta", "1",
+                        "--tmax", "6", "--block", "--log", "--format", "json")
+        grid = exact.log_pmf_block(9, 1.0, 4, 6)
+        rows = [[t, r + 1, grid[r, t]] for t in range(7) for r in range(4)]
+        assert out.count('"-inf"') == 6
+        assert out == json_whole({"m": 9, "k": 4, "theta": 1.0}, "exact", rows)
+
+    def test_longer_than_one_write_chunk(self, capsys):
+        from negocc import OccupancyParams, cli, exact
+
+        tmax = cli._CSV_CHUNK_ROWS + 100
+        _, out, _ = run(capsys, "pmf", "--m", "inf", "--k", "3", "--theta", "0.6",
+                        "--tmax", str(tmax), "--log", "--format", "json")
+        values = exact.log_pmf_vector(OccupancyParams(math.inf, 3, 0.6), tmax)
+        rows = [[t, v] for t, v in enumerate(values.tolist())]
+        assert out == json_whole({"m": "inf", "k": 3, "theta": 0.6}, "exact", rows)
+
+    def test_empty_chunks_and_non_finite_cells(self, tmp_path):
+        chunks = [
+            (np.array([], dtype=np.int64), np.array([])),
+            (np.array([1, 2]), np.array([0.5, -math.inf])),
+            (np.array([], dtype=np.int64), np.array([])),
+            (np.array([3, 4]), np.array([math.inf, math.nan])),
+        ]
+        rows = [[1, 0.5], [2, -math.inf], [3, math.inf], [4, math.nan]]
+        assert self.emit(tmp_path, chunks) == json_whole({"m": 3}, "x", rows)
+        assert self.emit(tmp_path, chunks[:1]) == json_whole({"m": 3}, "x", [])
+        single = [(np.array([-math.inf, 2.0]),), (np.array([], dtype=float),)]
+        expected = json_whole({"m": 3}, "x", [-math.inf, 2.0])
+        assert self.emit(tmp_path, single) == expected
+
+    def test_out_file_equals_stdout(self, capsys, tmp_path):
+        argv = ["pmf", "--m", "9", "--k", "4", "--theta", "0.7", "--tmax", "20",
+                "--block", "--format", "json"]
+        _, out, _ = run(capsys, *argv)
+        code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path / "b.json"))
+        assert code == 0 and stdout == ""
+        assert (tmp_path / "b.json").read_text() == out
+
+
 class TestAutoMethod:
     """``pmf --method auto``: exact for finite m <= 1000, gamma otherwise."""
 
@@ -417,6 +501,22 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == ("negocc: error: theta is too small to sample: "
                        "a draw can exceed 2**63 - 1\n")
+
+    def test_sample_zero_probability_is_one_line(self):
+        # theta * 1/30 rounds to 0: refused with one stderr line, no warning
+        done = run_python("-m", "negocc", "sample", "--m", "30", "--k", "30",
+                          "--theta", "5e-324", "--n", "1", check=False, text=True)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == ("negocc: error: theta is too small to sample: "
+                               "a draw can exceed 2**63 - 1\n")
+
+    @pytest.mark.parametrize("m", [str(10**20), str(2**63)])
+    def test_sample_beyond_int64_m(self, capsys, m):
+        # every probability theta*(m-l+1)/m rounds to theta, as at m = inf
+        rest = ["--k", "3", "--theta", "0.5", "--n", "3", "--seed", "4"]
+        code, out, err = run(capsys, "sample", "--m", m, *rest)
+        assert code == 0 and err == ""
+        assert out == run(capsys, "sample", "--m", "inf", *rest)[1]
 
     def test_sample_rejects_conditioning_at_infinite_m(self, capsys):
         message = "conditioning (--r > 0) requires finite m"

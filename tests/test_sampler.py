@@ -1,7 +1,7 @@
 """Random variate generation and empirical frequencies."""
 
-import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +19,29 @@ from negocc import (
     truncation_point,
 )
 from negocc.oracles import empirical_pmf, sample_geometric
-from negocc.sampler import _increment_probs, _sample_range
+from negocc.sampler import _increment_probs
+
+
+def advance_route(config, chunk_doubles=1 << 22):
+    """The sampler as it stood before tiling: each chunk of draws comes from
+    a fresh PCG64 advanced by start*k words, then floor and an int64 cast."""
+    params, r = config.params, config.conditional_r
+    k, theta = params.k, params.theta
+    if params.is_infinite:
+        probs = np.full(k, theta)
+    else:
+        ls = np.arange(r + 1, r + k + 1)
+        probs = theta * (params.m - ls + 1) / params.m
+    log_failure = np.array([math.log1p(-p) if p < 1.0 else -math.inf for p in probs])
+    chunk = max(chunk_doubles // k, 1)
+    parts = []
+    for start in range(0, config.n, chunk):
+        bits = np.random.PCG64(config.seed)
+        bits.advance(start * k)
+        u = np.random.Generator(bits).random((min(chunk, config.n - start), k))
+        waits = np.floor(np.log1p(-u) / log_failure)
+        parts.append(waits.astype(np.int64).sum(axis=1))
+    return np.concatenate(parts)
 
 
 class TestSampleGeometric:
@@ -55,47 +77,50 @@ class TestSampleNegocc:
         config = SampleConfig(OccupancyParams(30, 14, 0.6), n=500, seed=99)
         np.testing.assert_array_equal(sample_negocc(config), sample_negocc(config))
 
-    def test_chunk_size_invariance(self):
-        # draws from any split of the index range into _sample_range calls
-        # match one unsplit range and the public sampler
-        config = SampleConfig(OccupancyParams(9, 4, 0.7), n=1000, seed=5)
-        probs = _increment_probs(config)
-        full = _sample_range(5, 0, 1000, probs)
-        chunked = np.concatenate(
-            [_sample_range(5, s, min(7, 1000 - s), probs) for s in range(0, 1000, 7)]
-        )
-        np.testing.assert_array_equal(full, chunked)
-        np.testing.assert_array_equal(sample_negocc(config), full)
+    @pytest.mark.parametrize("m, k, theta, r, n", [
+        (9, 1, 0.7, 0, 700), (9, 4, 0.7, 0, 1000), (INFINITE, 3, 0.4, 0, 500),
+        (6, 6, 1.0, 0, 300), (10, 3, 0.8, 4, 300), (100000, 70000, 0.5, 0, 3),
+    ], ids=["k1", "9-4-0.7", "m-inf", "theta-1", "conditional", "k-above-tile"])
+    def test_matches_advance_route(self, m, k, theta, r, n):
+        # the tiled stream gives the bytes of the per-chunk advance route,
+        # whatever its chunk size
+        config = SampleConfig(OccupancyParams(m, k, theta), n=n, seed=5,
+                              conditional_r=r)
+        draws = sample_negocc(config)
+        assert draws.dtype == np.int64
+        assert draws.tobytes() == advance_route(config).tobytes()
+        assert draws.tobytes() == advance_route(config, chunk_doubles=7 * k).tobytes()
 
-    def test_chunks_bounded_at_large_k(self, monkeypatch):
-        # record the (draws, k) shape of every requested chunk instead of
-        # drawing it: at k = 30000 one chunk of 65,536 draws would be 14.6 GiB
-        shapes = []
+    def test_chunk_size_invariance(self, monkeypatch):
+        # tiles below, at and above one draw of k = 7 give the same draws
+        config = SampleConfig(OccupancyParams(20, 7, 0.6), n=501, seed=3,
+                              conditional_r=2)
+        expected = sample_negocc(config)
+        for tile in (1, 3, 6, 7, 8, 1 << 16):
+            monkeypatch.setattr(sampler, "_CHUNK_DOUBLES", tile)
+            np.testing.assert_array_equal(sample_negocc(config), expected)
 
-        def record(seed, start, count, probs):
-            shapes.append((start, count, probs.size))
-            return np.zeros(count, dtype=np.int64)
+    def test_chunks_bounded_at_large_k(self):
+        # at k = 30,000 a tile holds two draws: the traced peak stays far
+        # below one n*k array and does not grow with n
+        def peak(n):
+            config = SampleConfig(OccupancyParams(100000, 30000, 0.5), n=n, seed=0)
+            tracemalloc.start()
+            try:
+                sample_negocc(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        monkeypatch.setattr(sampler, "_sample_range", record)
-        config = SampleConfig(OccupancyParams(100000, 30000, 0.5), n=200000, seed=0)
-        assert sample_negocc(config).shape == (200000,)
-        starts, counts, ks = zip(*shapes)
-        assert set(ks) == {30000} and min(counts) >= 1
-        assert max(counts) * 30000 <= sampler._CHUNK_DOUBLES
-        assert list(starts) == [0, *itertools.accumulate(counts[:-1])]
-        assert sum(counts) == 200000
+        peak(20)  # first-call allocations inside numpy
+        small, large = peak(20), peak(200)
+        assert max(small, large) < 4 << 20
+        assert large - small < 1 << 14  # the n int64 draws themselves
 
     def test_chunk_holds_one_draw_beyond_the_cap(self, monkeypatch):
-        counts = []
-
-        def record(seed, start, count, probs):
-            counts.append(count)
-            return np.zeros(count, dtype=np.int64)
-
         monkeypatch.setattr(sampler, "_CHUNK_DOUBLES", 3)  # below k = 4
-        monkeypatch.setattr(sampler, "_sample_range", record)
-        sample_negocc(SampleConfig(OccupancyParams(9, 4, 0.7), n=5, seed=0))
-        assert counts == [1, 1, 1, 1, 1]
+        config = SampleConfig(OccupancyParams(9, 4, 0.7), n=5, seed=0)
+        assert sample_negocc(config).tobytes() == advance_route(config).tobytes()
 
     @pytest.mark.parametrize("m, k, theta, r", [
         (9, 4, 0.7, 0), (6, 6, 1.0, 0), (INFINITE, 3, 0.4, 0), (INFINITE, 2, 1.0, 0),

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/golden_cli.py OUTDIR [--src SRC]
+    python tools/golden_cli.py OUTDIR [--src SRC] [--manifest FILE]
 
 Every case runs in this process through ``negocc.cli.execute`` and leaves
 three files in OUTDIR: ``<case>.out`` (stdout), ``<case>.err`` (stderr)
@@ -12,17 +12,28 @@ the checkout holding this script).  Record two checkouts and compare them
 with ``diff -r OUTDIR_A OUTDIR_B``: an empty diff means the CLI output is
 unchanged, byte for byte.
 
+``--manifest FILE`` also writes the Python, numpy and scipy versions and
+the sha256 of every recorded file to FILE.  ``tests/golden_manifest.json``
+is such a manifest, and ``tests/test_golden.py`` checks every case against
+it; a change that moves output bytes on purpose re-records it with::
+
+    python tools/golden_cli.py OUTDIR --manifest tests/golden_manifest.json
+
 The cases cover every subcommand in CSV and JSON, ``--log``, ``--block``,
 ``--r``, ``m = inf``, ``--method gamma``/``auto`` (also at a gamma shape
 above 600), rse-block ``--summaries`` (also at theta = 0.05), a quantile
 over 1000 long exact columns, a pmf whose columns are cut into scan
-segments, a CSV table longer than one write chunk, a pmf tail from normal
-through subnormal values to 0, and the domain, parse and refusal errors.
+segments, CSV and JSON tables longer than one write chunk, a sample
+across many sampler tiles, a pmf tail from normal through subnormal
+values to 0, and the domain, parse and refusal errors.
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +64,9 @@ CASES.update({
                             "--tmax", "3", "--log", *_JSON],
     "pmf-block-csv": ["pmf", *_SMALL, "--tmax", "8", "--block"],
     "pmf-block-log-json": ["pmf", *_SMALL, "--tmax", "8", "--block", "--log", *_JSON],
+    # 80,040 rows in two JSON write chunks, 2,000 "-inf" cells in row r = 1
+    "pmf-block-log-json-long": ["pmf", "--block", "--m", "40", "--k", "40", "--theta",
+                                "1", "--tmax", "2000", "--log", *_JSON],
     "pmf-long-log-csv": ["pmf", *_INF, "--tmax", "70000", "--log"],
     # probabilities from normal through subnormal to 0, and their logs
     "pmf-subnormal-tail": ["pmf", "--m", "inf", "--k", "1", "--theta", "0.5",
@@ -81,6 +95,9 @@ CASES.update({
     "pmf-cut-columns": ["pmf", "--m", "1000", "--k", "1000", "--theta", "1",
                         "--tmax", "3000", "--log"],
     "sample-inf": ["sample", *_INF, "--n", "50", "--seed", "1"],
+    # 4.2M uniforms (k = 2100) across many sampler tiles
+    "sample-many-tiles": ["sample", "--m", "2100", "--k", "2100", "--theta", "0.7",
+                          "--n", "2000", "--seed", "11", *_JSON],
     "moments-inf-json": ["moments", *_INF, *_JSON],
     "gfun-inf-mgf": ["gfun", *_INF, "--kind", "mgf", "--arg", "0.2"],
     "pmf-gamma-inf": ["pmf", *_INF, "--method", "gamma", "--tmax", "15"],
@@ -196,23 +213,49 @@ def run_case(execute, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def record_case(execute, name, outdir):
+    """Run case ``name`` and write its files into ``outdir``."""
+    code, out, err = run_case(
+        execute, [a.replace("{outdir}", str(outdir)) for a in CASES[name]]
+    )
+    (outdir / f"{name}.out").write_text(out)
+    (outdir / f"{name}.err").write_text(err)
+    (outdir / f"{name}.code").write_text(f"{code}\n")
+
+
+def versions() -> dict:
+    """The versions of the libraries the recorded numbers depend on."""
+    import numpy
+    import scipy
+
+    return {"python": "%d.%d" % sys.version_info[:2], "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--manifest", type=Path, default=None,
+                        help="also write the versions and every file's sha256 here")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
+    os.environ["COLUMNS"] = "80"  # help text wraps at 80 columns in any terminal
     from negocc.cli import execute
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for name, case in CASES.items():
-        code, out, err = run_case(
-            execute, [a.replace("{outdir}", str(args.outdir)) for a in case]
+    for name in CASES:
+        record_case(execute, name, args.outdir)
+    if args.manifest is not None:
+        files = {p.name: sha256(p) for p in sorted(args.outdir.iterdir())}
+        args.manifest.write_text(
+            json.dumps({"versions": versions(), "sha256": files}, indent=1) + "\n"
         )
-        (args.outdir / f"{name}.out").write_text(out)
-        (args.outdir / f"{name}.err").write_text(err)
-        (args.outdir / f"{name}.code").write_text(f"{code}\n")
     print(f"{len(CASES)} cases written to {args.outdir}")
     return 0
 
