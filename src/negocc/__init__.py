@@ -11,8 +11,6 @@ The extended-precision cross-validation oracles live in
 
 from .accuracy import (
     DEFAULT_WORK_BUDGET,
-    RseReport,
-    RseSummary,
     estimate_block_work,
     rse,
     rse_block,

@@ -10,7 +10,6 @@ would waste.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +21,6 @@ from .numerics import harmonic_power_sums
 from .params import OccupancyParams
 
 __all__ = [
-    "RseReport",
-    "RseSummary",
     "truncation_point",
     "rse",
     "estimate_block_work",
@@ -36,27 +33,6 @@ __all__ = [
 #: M = 1000 (the full study) costs about 4.5e11 units and is allowed;
 #: anything much larger must be requested explicitly.
 DEFAULT_WORK_BUDGET = 1.0e12
-
-
-@dataclass(frozen=True)
-class RseReport:
-    """Truncated root-squared-error of the gamma approximation at (m, k)."""
-
-    m: int
-    k: int
-    theta: float
-    truncation: int
-    rse: float
-
-
-@dataclass(frozen=True)
-class RseSummary:
-    """Per-m reductions of the RSE map over k = 1..m."""
-
-    m: int
-    max_rse: float
-    mean_rse: float
-    diag_rse: float
 
 
 def _truncation(mean, variance):
@@ -121,25 +97,48 @@ def _cell_chunks(points):
         start = stop
 
 
+def _cell_rse(m: int, theta: float) -> tuple:
+    """(T(m, k), RSE) arrays over k = 1..m.
+
+    One exact block up to max_k T(m, k) and one gamma-kernel pass over the
+    grids of all k cells (one per _GRID_CHUNK points), both read from one
+    moment table; each cell's RSE is one sum over its own slice, so it has
+    the same bits as :func:`rse` of that cell alone.  The block and every
+    temporary built from it die on return.
+    """
+    means, variances, cuts = _moment_table(m, theta)
+    cuts = cuts.astype(np.int64)
+    block = log_pmf_block(m, theta, m, int(cuts.max()))
+    sums = []
+    for cells in _cell_chunks(cuts + 2):
+        approx = _log_pmf_cells(means[cells].tolist(), variances[cells].tolist(),
+                                cuts[cells])
+        # each cell's prefix block[k-1, :T+1], end to end, as approx has them
+        part = block[cells]
+        exact = part[np.arange(part.shape[1]) <= cuts[cells, np.newaxis]]
+        squares = (np.exp(exact) - np.exp(approx)) ** 2
+        ends = np.cumsum(cuts[cells] + 1).tolist()
+        sums += [np.sum(squares[start:end]) for start, end in zip([0] + ends, ends)]
+    return cuts, np.sqrt(sums)
+
+
 def rse_block(
     M: int,
     theta: float,
     budget: float = DEFAULT_WORK_BUDGET,
     sink=None,
-) -> list:
-    """RSE reports for every 0 < k <= m <= M.
+) -> np.recarray:
+    """Truncation point and RSE of every 0 < k <= m <= M, in (m, k) order.
 
-    Each m costs one exact block up to max_k T(m, k) and one gamma-kernel
-    pass over the grids of all its k cells (one per _GRID_CHUNK points),
-    both read from one moment table per m; each cell's RSE is one sum over
-    its own slice, so a report has the same bits as :func:`rse` of that
-    cell alone.  Requests whose estimated work exceeds ``budget`` (a
+    The result is a record array with fields ``m, k, truncation, rse``.
+    Only one exact block, that of the m being computed, is alive at a
+    time.  Requests whose estimated work exceeds ``budget`` (a
     non-negative number; ``inf`` disables the check) are refused up front;
     the count stops at the first m that passes the budget, so the error
     carries the work counted so far, a lower bound on the estimate.  When
-    ``sink`` is given it receives the list of reports for each m as soon
-    as that m completes, so partial progress survives interruption of
-    large blocks; reports are emitted in (m, k) order either way.
+    ``sink`` is given it receives each m's slice of the result, a view, as
+    soon as that m completes, so partial progress survives interruption
+    of large blocks.
     """
     if not budget >= 0.0:  # NaN fails the comparison too
         raise DomainError("budget must satisfy budget >= 0")
@@ -147,51 +146,36 @@ def rse_block(
         if counted > budget:
             raise WorkBudgetError(counted, budget)
 
-    reports: list = []
+    rows = np.recarray(M * (M + 1) // 2, dtype=[
+        ("m", np.int64), ("k", np.int64), ("truncation", np.int64), ("rse", np.float64)])
     for m in range(1, M + 1):
-        means, variances, cuts = _moment_table(m, theta)
-        cuts = cuts.astype(int)
-        block = log_pmf_block(m, theta, m, int(cuts.max()))
-        sums = []
-        for cells in _cell_chunks(cuts + 2):
-            approx = _log_pmf_cells(means[cells].tolist(), variances[cells].tolist(),
-                                    cuts[cells])
-            # each cell's prefix block[k-1, :T+1], end to end, as approx has them
-            part = block[cells]
-            exact = part[np.arange(part.shape[1]) <= cuts[cells, np.newaxis]]
-            squares = (np.exp(exact) - np.exp(approx)) ** 2
-            ends = np.cumsum(cuts[cells] + 1).tolist()
-            sums += [np.sum(squares[start:end]) for start, end in zip([0] + ends, ends)]
-        rows = [RseReport(m=m, k=k, theta=theta, truncation=t_cut, rse=float(value))
-                for k, (t_cut, value) in enumerate(zip(cuts.tolist(), np.sqrt(sums)),
-                                                   start=1)]
-        reports.extend(rows)
+        part = rows[m * (m - 1) // 2:m * (m + 1) // 2]
+        part.m = m
+        part.k = np.arange(1, m + 1)
+        part.truncation, part.rse = _cell_rse(m, theta)
         if sink is not None:
-            sink(rows)
-    return reports
+            sink(part)
+    return rows
 
 
-def rse_summaries(reports) -> list:
-    """Per-m max, mean and diagonal (k = m) RSE.
+def rse_summaries(rows) -> np.recarray:
+    """Per-m max, mean and diagonal (k = m) RSE of :func:`rse_block` rows.
 
-    Every m present must be covered by all of k = 1..m; partial coverage
-    would silently bias the reductions, so it is rejected.
+    The result is a record array with fields ``m, max_rse, mean_rse,
+    diag_rse``, in increasing m.  The rows of every m present must be one
+    slice covering k = 1..m in order; partial coverage would silently bias
+    the reductions, so it is rejected.  The mean is a sequential sum over
+    k divided by m.
     """
-    by_m: dict = {}
-    for rep in reports:
-        by_m.setdefault(rep.m, {})[rep.k] = rep.rse
-    summaries = []
-    for m in sorted(by_m):
-        rows = by_m[m]
-        if sorted(rows) != list(range(1, m + 1)):
+    ms, starts, counts = np.unique(rows["m"], return_index=True, return_counts=True)
+    summaries = np.recarray(len(ms), dtype=[
+        ("m", np.int64), ("max_rse", np.float64), ("mean_rse", np.float64),
+        ("diag_rse", np.float64)])
+    for i, (m, start, count) in enumerate(zip(ms.tolist(), starts.tolist(),
+                                              counts.tolist())):
+        if count != m or not np.array_equal(rows["k"][start:start + m],
+                                            np.arange(1, m + 1)):
             raise DomainError(f"reports for m = {m} must cover every k = 1..m")
-        values = [rows[k] for k in range(1, m + 1)]
-        summaries.append(
-            RseSummary(
-                m=m,
-                max_rse=max(values),
-                mean_rse=float(sum(values) / m),
-                diag_rse=rows[m],
-            )
-        )
+        values = rows["rse"][start:start + m]
+        summaries[i] = (m, values.max(), np.add.accumulate(values)[-1] / m, values[-1])
     return summaries

@@ -272,33 +272,22 @@ def _run_gfun(ns, out: _Output) -> None:
     out.line(f"{ns.kind},{_fmt(ns.arg)},{_fmt(value)}")
 
 
-def _report_columns(reports, fields) -> list:
-    """One array per field of a list of RseReport/RseSummary rows."""
-    return [np.array([getattr(r, f) for r in reports]) for f in fields]
-
-
 def _run_rse_block(ns, out: _Output) -> None:
-    fields = ("m", "k", "truncation", "rse")
     if ns.format == "csv" and not ns.summaries:
         # stream CSV rows per m so partial progress survives interruption;
-        # the header waits for the first row so a refused request emits nothing
-        started = False
-
-        def sink(reports):
-            nonlocal started
-            if not started:
-                out.line(",".join(fields))
-                started = True
-            _write_rows(out, *_report_columns(reports, fields))
+        # the header waits for m = 1 so a refused request emits nothing
+        def sink(rows):
+            if rows.m[0] == 1:
+                out.line(",".join(rows.dtype.names))
+            _write_rows(out, *(rows[name] for name in rows.dtype.names))
 
         accuracy.rse_block(ns.m, ns.theta, budget=ns.budget, sink=sink)
         return
     rows = accuracy.rse_block(ns.m, ns.theta, budget=ns.budget)
     if ns.summaries:
-        fields = ("m", "max_rse", "mean_rse", "diag_rse")
         rows = accuracy.rse_summaries(rows)
     _emit_table(out, ns, {"M": ns.m, "theta": ns.theta}, "rse-block",
-                ",".join(fields), [_report_columns(rows, fields)])
+                ",".join(rows.dtype.names), [[rows[name] for name in rows.dtype.names]])
 
 
 # -- parser -------------------------------------------------------------------

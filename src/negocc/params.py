@@ -14,6 +14,9 @@ from .errors import DomainError
 #: Distinguished space-parameter value for an unbounded number of bins.
 INFINITE = math.inf
 
+#: The smallest integer that ``float()`` rounds past the largest double.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
 
 def check_triple(m, k, theta) -> float:
     """Validate a parameter triple and return theta as a float.
@@ -27,6 +30,8 @@ def check_triple(m, k, theta) -> float:
             raise DomainError("m must be a positive integer or INFINITE")
         if m < 1:
             raise DomainError("m must satisfy m >= 1")
+        if m >= _FLOAT_OVERFLOW:
+            raise DomainError("m must satisfy m < 2**1024 - 2**970 to convert to a double")
     if type(k) is not int:
         raise DomainError("k must be a positive integer")
     if k < 1:

@@ -8,7 +8,6 @@ import pytest
 from negocc import (
     DomainError,
     OccupancyParams,
-    RseReport,
     WorkBudgetError,
     approx_pmf,
     estimate_block_work,
@@ -70,7 +69,8 @@ class TestRse:
 class TestRseBlock:
     def test_single_cell_block(self):
         reports = rse_block(1, 1.0)
-        assert reports == [RseReport(m=1, k=1, theta=1.0, truncation=0, rse=0.0)]
+        assert reports.dtype.names == ("m", "k", "truncation", "rse")
+        assert reports.tolist() == [(1, 1, 0, 0.0)]
 
     def test_rows_match_direct_computation(self):
         # bit for bit: one kernel pass per m gives each cell its own bits
@@ -79,14 +79,11 @@ class TestRseBlock:
             assert [(r.m, r.k) for r in reports] == [
                 (m, k) for m in range(1, 9) for k in range(1, m + 1)
             ]
-            for rep in reports:
-                params = OccupancyParams(rep.m, rep.k, rep.theta)
-                assert rep.truncation == truncation_point(params)
-                direct = rse(
-                    pmf_vector(params, rep.truncation),
-                    approx_pmf(params, rep.truncation),
-                )
-                assert rep.rse == direct, (rep, direct)
+            for m, k, t_cut, value in reports.tolist():
+                params = OccupancyParams(m, k, theta)
+                assert t_cut == truncation_point(params)
+                direct = rse(pmf_vector(params, t_cut), approx_pmf(params, t_cut))
+                assert value == direct, ((m, k), value, direct)
 
     def test_one_kernel_call_per_m(self, monkeypatch):
         import negocc.accuracy
@@ -103,28 +100,50 @@ class TestRseBlock:
         expected = rse_block(9, 0.6)
         for module in (negocc.numerics, negocc.gamma_approx):
             monkeypatch.setattr(module, "_gamma_log_cdf", counted)
-        assert rse_block(9, 0.6) == expected
+        assert np.array_equal(rse_block(9, 0.6), expected)
         assert len(calls) <= 9
         assert sum(calls) == sum(r.truncation + 2 for r in expected)
         # a small chunk splits each m's cells over several calls, same bits;
         # only a cell past the chunk is a call alone
         calls.clear()
         monkeypatch.setattr(negocc.accuracy, "_GRID_CHUNK", 40)
-        assert rse_block(9, 0.6) == expected
+        assert np.array_equal(rse_block(9, 0.6), expected)
         assert len(calls) > 9
         assert sum(calls) == sum(r.truncation + 2 for r in expected)
         lone = {r.truncation + 2 for r in expected}
         assert all(n <= 40 or n in lone for n in calls)
 
     def test_bit_exact_reproducibility(self):
-        assert rse_block(8, 0.6) == rse_block(8, 0.6)
+        assert np.array_equal(rse_block(8, 0.6), rse_block(8, 0.6))
 
     def test_streaming_sink_in_order(self):
+        # each m's slice is a view of the result, handed over when m is done
         seen = []
-        reports = rse_block(5, 1.0, sink=seen.append)
-        assert [len(rows) for rows in seen] == [1, 2, 3, 4, 5]
-        flattened = [r for rows in seen for r in rows]
-        assert flattened == reports
+        reports = rse_block(5, 1.0, sink=lambda rows: seen.append((rows, rows.copy())))
+        assert all(np.shares_memory(view, reports) for view, _ in seen)
+        copies = [copy for _, copy in seen]
+        assert [rows.m.tolist() for rows in copies] == [[m] * m for m in range(1, 6)]
+        assert np.array_equal(np.concatenate(copies), reports)
+
+    def test_one_exact_block_alive_at_a_time(self, monkeypatch):
+        # each m's block and the temporaries built from it die before the
+        # next m's block is made
+        import weakref
+
+        import negocc.accuracy
+
+        made = []
+        make = negocc.accuracy.log_pmf_block
+
+        def tracked(*args):
+            assert all(ref() is None for ref in made), "an earlier block is alive"
+            block = make(*args)
+            made.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(negocc.accuracy, "log_pmf_block", tracked)
+        rse_block(12, 0.6)
+        assert len(made) == 12
 
     def test_budget_refusal(self):
         # the count stops where it passes the budget: a lower bound
@@ -197,7 +216,7 @@ class TestRseBlock:
         check = OccupancyParams.__post_init__
         monkeypatch.setattr(OccupancyParams, "__post_init__",
                             lambda self: built.append(check(self)))
-        assert rse_block(9, 0.6) == expected
+        assert np.array_equal(rse_block(9, 0.6), expected)
         assert len(built) == 9
 
 
@@ -217,7 +236,7 @@ class TestRseSummaries:
         for summary in summaries:
             values = by_m[summary.m]
             assert summary.max_rse == max(values)
-            assert summary.mean_rse == pytest.approx(sum(values) / len(values))
+            assert summary.mean_rse == sum(values) / len(values)  # sequential sum
             assert summary.diag_rse == values[-1]
             assert summary.max_rse >= summary.mean_rse
             assert summary.diag_rse <= summary.max_rse
@@ -226,3 +245,5 @@ class TestRseSummaries:
         reports = rse_block(4, 1.0)
         with pytest.raises(DomainError):
             rse_summaries(reports[:-1])
+        with pytest.raises(DomainError):
+            rse_summaries(np.concatenate([reports, reports[-1:]]))

@@ -480,6 +480,18 @@ class TestOtherCommands:
         assert err.count("\n") == 1
         assert err.startswith("negocc: error: tmax must satisfy tmax < 2**59")
 
+    @pytest.mark.parametrize("argv", [
+        ["pmf"], ["cdf"], ["quantile", "--p", "0.5"], ["moments"],
+        ["gfun", "--kind", "pgf", "--arg", "0.5"], ["sample", "--n", "3"],
+    ], ids=["pmf", "cdf", "quantile", "moments", "gfun", "sample"])
+    def test_m_past_double_range_names_m(self, capsys, argv):
+        # the smallest integer that float() rounds past the largest double
+        m = str(2**1024 - 2**970)
+        code, out, err = run(capsys, *argv, "--m", m, "--k", "3", "--theta", "0.5")
+        assert code == 2 and out == ""
+        assert err == ("negocc: error: m must satisfy m < 2**1024 - 2**970 "
+                       "to convert to a double\n")
+
     def test_negative_seed_names_seed(self, capsys):
         code, out, err = run(
             capsys, "sample", "--m", "9", "--k", "4", "--theta", "0.7", "--n", "5",

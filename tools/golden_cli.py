@@ -21,7 +21,8 @@ it; a change that moves output bytes on purpose re-records it with::
 
 The cases cover every subcommand in CSV and JSON, ``--log``, ``--block``,
 ``--r``, ``m = inf``, ``--method gamma``/``auto`` (also at a gamma shape
-above 600), rse-block ``--summaries`` (also at theta = 0.05), a quantile
+above 600), rse-block ``--summaries`` (also at theta = 0.05), rse-block
+rows streamed as CSV and as JSON at theta = 0.05 and M = 40, a quantile
 over 1000 long exact columns, a pmf whose columns are cut into scan
 segments, CSV and JSON tables longer than one write chunk, a sample
 across many sampler tiles, a pmf tail from normal through subnormal
@@ -130,6 +131,9 @@ CASES.update({
                                        "--summaries", *_JSON],
     "rse-theta-small-m40-summaries": ["rse-block", "--m", "40", "--theta", "0.05",
                                       "--summaries"],
+    # streamed CSV and full-row JSON; the larger m take several kernel chunks
+    "rse-theta-small-m40-csv": ["rse-block", "--m", "40", "--theta", "0.05"],
+    "rse-theta-small-m40-json": ["rse-block", "--m", "40", "--theta", "0.05", *_JSON],
     "rse-refused": ["rse-block", "--m", "200", "--budget", "1000"],
     "rse-refused-huge": ["rse-block", "--m", "1000000"],
     "rse-budget-nan": ["rse-block", "--m", "3", "--budget", "nan"],
